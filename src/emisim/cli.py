@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .core import (
     default_halfwidths,
     mean_scenario,
 )
-from .ensemble import bands, bands_from_matrix, run_simulation
+from .ensemble import RNG_STREAM, bands, bands_from_matrix, run_simulation
 from .errors import EXIT_IO, EXIT_OK, EXIT_USAGE, EmisimError, EmptyInputError, SchemaError
 from .ingest import (
     ScenarioBundle,
@@ -91,6 +92,8 @@ class RunManifest:
     input_digests: dict
     output_paths: list
     duration_seconds: float
+    rng_stream: str
+    environment: dict
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2) + "\n"
@@ -106,6 +109,16 @@ def _load_bundle_or_table(path: str) -> ScenarioBundle | DriverTable:
     return parse_driver_csv(path)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_percentiles(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(","))
@@ -113,14 +126,27 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
         raise SchemaError(1, 1, f"bad percentile list {text!r}") from None
 
 
-def _load_halfwidths_file(path: str) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return _halfwidths_from_dict(doc)
+def _read_json(path: str, convert):
+    """``convert`` applied to the JSON document in ``path``. Malformed JSON
+    and content that ``convert`` rejects end as a one-line SchemaError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return convert(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(exc.lineno, exc.colno, f"malformed JSON in {path}: {exc.msg}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(1, 1, f"bad content in {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _halfwidths_from_dict(doc: dict) -> dict:
+def _json_object(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _halfwidths_from_dict(doc) -> dict:
     out = {}
-    for name, spec in doc.items():
+    for name, spec in _json_object(doc).items():
         if isinstance(spec, dict):
             unit = Unit(spec.get("unit", Unit.TWH.value))
             out[name] = AnnualSeries(unit, tuple((int(y), float(v)) for y, v in spec["points"]))
@@ -129,49 +155,55 @@ def _halfwidths_from_dict(doc: dict) -> dict:
     return out
 
 
+def _config_values(doc) -> dict:
+    """Typed values of a ``--config`` document; other keys are ignored."""
+    types = {
+        "realizations": int,
+        "seed": int,
+        "ci_level": float,
+        "halfwidths": _halfwidths_from_dict,
+        "halfwidth_pct": float,
+        "percentiles": lambda ps: tuple(float(p) for p in ps),
+        "correlation": _CORRELATION_NAMES.__getitem__,
+        "model": _MODEL_NAMES.__getitem__,
+    }
+    return {key: types[key](value) for key, value in _json_object(doc).items() if key in types}
+
+
 def _resolve_simulation_config(args) -> SimulationConfig:
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    file_cfg = _read_json(args.config, _config_values) if args.config else {}
 
     def pick(flag_value, key, default):
         if flag_value is not None:
             return flag_value
         return file_cfg.get(key, default)
 
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in file_cfg:
-        seed = int(file_cfg["seed"])
-    else:
-        seed = int(os.environ.get("EMISIM_SEED", "0"))
-
     if args.halfwidths:
-        halfwidths = _load_halfwidths_file(args.halfwidths)
+        halfwidths = _read_json(args.halfwidths, _halfwidths_from_dict)
     elif args.halfwidth_pct is not None:
         halfwidths = {v: args.halfwidth_pct for v in default_halfwidths()}
     elif "halfwidths" in file_cfg:
-        halfwidths = _halfwidths_from_dict(file_cfg["halfwidths"])
+        halfwidths = file_cfg["halfwidths"]
     elif "halfwidth_pct" in file_cfg:
-        halfwidths = {v: float(file_cfg["halfwidth_pct"]) for v in default_halfwidths()}
+        halfwidths = {v: file_cfg["halfwidth_pct"] for v in default_halfwidths()}
     else:
         halfwidths = default_halfwidths()
 
-    percentiles = args.percentiles
-    if percentiles is None:
-        percentiles = tuple(float(p) for p in file_cfg.get("percentiles", (5.0, 50.0, 95.0)))
-
     try:
+        seed = pick(args.seed, "seed", None)
+        if seed is None:
+            seed = int(os.environ.get("EMISIM_SEED", "0"))
         return SimulationConfig(
-            realizations=int(pick(args.realizations, "realizations", 10_000)),
+            realizations=pick(args.realizations, "realizations", 10_000),
             master_seed=seed,
-            ci_level=float(pick(args.ci_level, "ci_level", 0.99)),
+            ci_level=pick(args.ci_level, "ci_level", 0.99),
             halfwidths=halfwidths,
-            correlation_mode=_CORRELATION_NAMES[pick(args.correlation, "correlation", "per-variable")],
-            percentiles=percentiles,
-            model_kind=_MODEL_NAMES[pick(args.model, "model", "intensity")],
+            correlation_mode=pick(_CORRELATION_NAMES.get(args.correlation), "correlation",
+                                  CorrelationMode.CORRELATED_PER_VARIABLE),
+            percentiles=pick(args.percentiles, "percentiles", (5.0, 50.0, 95.0)),
+            model_kind=pick(_MODEL_NAMES.get(args.model), "model", ModelKind.IMPLIED_INTENSITY),
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise EmisimError(f"bad configuration: {exc}") from exc
 
 
@@ -281,6 +313,8 @@ def cmd_simulate(args) -> int:
             input_digests=digests,
             output_paths=outputs,
             duration_seconds=time.perf_counter() - started,
+            rng_stream=RNG_STREAM,
+            environment={"python": platform.python_version(), "numpy": np.__version__},
         )
         write_text_atomic(out_path.with_name(out_path.name + ".manifest.json"), manifest.to_json())
         print(
@@ -384,7 +418,8 @@ def build_parser() -> _Parser:
                    help="sampling mode (default per-variable)")
     p.add_argument("--percentiles", type=_parse_percentiles,
                    help="comma-separated percentiles (default 5,50,95)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="kept for compatibility; output and speed do not depend on it")
     p.add_argument("--out", help="bands output path; manifest written alongside")
     p.add_argument("--matrix-out", dest="matrix_out", help="also write the realization matrix CSV")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -227,8 +227,8 @@ class SimulationConfig:
         for name, spec in self.halfwidths.items():
             if name not in DRIVER_VARIABLES:
                 raise ValueError(f"unknown driver variable {name!r}")
-            if isinstance(spec, (int, float)) and spec < 0:
-                raise ValueError(f"halfwidth fraction for {name} must be >= 0")
+            if isinstance(spec, (int, float)) and not (math.isfinite(spec) and spec >= 0):
+                raise ValueError(f"halfwidth fraction for {name} must be finite and >= 0, got {spec}")
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot (used by run manifests)."""

@@ -2,12 +2,16 @@
 
 The sampling contract:
 
-* every realization draws from its own substream, seeded by a SplitMix64
-  mix of ``(master_seed, realization_index)``, so results are independent of
-  evaluation order and of how work is chunked across workers;
-* the bit generator is numpy's PCG64 and draws are consumed in a fixed,
-  documented order (variables in :data:`~emisim.core.DRIVER_VARIABLES`
-  order, then years);
+* the standard normal in slot ``j`` of realization ``i`` is a pure function
+  of ``(master_seed, i, j)``, computed by one vectorized counter-based kernel
+  (:func:`standard_normals`), so results are independent of evaluation
+  order, of how rows are blocked, and of the ``workers`` setting;
+* slots are laid out variable-major in
+  :data:`~emisim.core.DRIVER_VARIABLES` order, then by year in per-year
+  mode; per-variable mode has one slot per variable, shared by every year;
+* the stream is versioned as :data:`RNG_STREAM`; its bytes also depend on
+  numpy's ``log``, ``cos`` and ``sin``, so run manifests record the numpy
+  version;
 * tail draws are clamped to the variable bounds, and the number of clamped
   entries is reported so distortion is visible.
 
@@ -20,8 +24,8 @@ sample weight at n = 10 000; the choice is fixed here and tested.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +36,7 @@ from .core import (
     AnnualSeries,
     CorrelationMode,
     DriverTable,
+    ModelKind,
     SimulationConfig,
     Unit,
     validate_driver_table,
@@ -44,64 +49,73 @@ from .errors import (
 )
 from .model import EmissionModel, fit_model
 
+#: Version of the random stream behind every simulated number.
+RNG_STREAM = "splitmix-boxmuller-v1"
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(_SPLITMIX_GAMMA)
+# Pairs of normals computed per block; bounds the temporaries, not the output.
+_BLOCK_PAIRS = 1 << 15
 
 
-def substream_seed(master_seed: int, index: int) -> int:
-    """Seed for realization ``index``: the (index+1)-th output of a
-    SplitMix64 stream whose state starts at ``master_seed``."""
-    state = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function of ``np.uint64`` states (wraps mod 2**64)."""
+    z = (state ^ (state >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> 31)
 
 
-def _substream(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(substream_seed(master_seed, index)))
+def substream_seed(master_seed: int, index: int) -> int:
+    """The (index+1)-th output of a SplitMix64 stream whose state starts at
+    ``master_seed``."""
+    state = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
+    return int(_splitmix64(np.array([state], dtype=np.uint64))[0])
+
+
+def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> np.ndarray:
+    """Standard normals of realizations ``start .. stop - 1``, shape
+    ``(stop - start, n_slots)``; entry (i, j) depends only on
+    ``(master_seed, start + i, j)``.
+
+    A counter-based stream (Salmon et al., "Parallel random numbers: as easy
+    as 1, 2, 3", SC'11) built on SplitMix64 (Steele, Lea & Flood, OOPSLA'14)
+    whose state starts at ``substream_seed(master_seed, 0)``. Realization
+    ``i`` owns the pair counters ``i * n_pairs .. (i + 1) * n_pairs - 1``
+    with ``n_pairs = ceil(n_slots / 2)``. Pair counter ``c`` reads stream
+    outputs ``2c + 1`` and ``2c + 2`` as the 53-bit uniforms ``u1`` in
+    (0, 1] and ``u2`` in [0, 1), and Box-Muller turns them into slots
+    ``2k = r cos(2 pi u2)`` and ``2k + 1 = r sin(2 pi u2)`` of its
+    realization, with ``r = sqrt(-2 ln u1)``.
+    """
+    n_pairs = -(-n_slots // 2)
+    first = start * n_pairs
+    total = (stop - start) * n_pairs
+    key = np.uint64(substream_seed(master_seed, 0))
+    out = np.empty((total, 2))
+    for lo in range(0, total, _BLOCK_PAIRS):
+        hi = min(lo + _BLOCK_PAIRS, total)
+        counters = np.arange(first + lo, first + hi, dtype=np.uint64)
+        state = key + (2 * counters + 1) * _GAMMA
+        u1 = ((_splitmix64(state) >> 11) + 1) * 2.0**-53
+        u2 = (_splitmix64(state + _GAMMA) >> 11) * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * math.pi * u2
+        out[lo:hi, 0] = radius * np.cos(angle)
+        out[lo:hi, 1] = radius * np.sin(angle)
+    return out.reshape(stop - start, 2 * n_pairs)[:, :n_slots]
 
 
 # ---------------------------------------------------------------------------
 # Standard-normal quantile
 # ---------------------------------------------------------------------------
 
-# Acklam's rational approximation to the inverse standard-normal CDF
-# (absolute error < 1.15e-9) followed by one Halley refinement against
-# math.erfc, which brings the result to near machine precision.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_ACKLAM_SPLIT = 0.02425
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal distribution on (0, 1)."""
+    """Inverse CDF of the standard normal distribution on (0, 1): Wichura's
+    AS241 (1988), as implemented by :meth:`statistics.NormalDist.inv_cdf`."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument {p} outside (0, 1)")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _ACKLAM_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley step: e = Phi(x) - p with Phi via erfc.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return NormalDist().inv_cdf(p)
 
 
 def two_sided_z(level: float) -> float:
@@ -193,35 +207,35 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> list[Pe
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _draw_standard_normals(master_seed: int, index: int, mode: CorrelationMode, n_years: int) -> np.ndarray:
-    """Standard-normal draws for one realization, shape (4, n_years).
-
-    Per-variable mode consumes 4 draws (one per variable, broadcast across
-    years); per-year mode consumes 4 * n_years draws, variable-major.
-    """
-    rng = _substream(master_seed, index)
-    if mode is CorrelationMode.CORRELATED_PER_VARIABLE:
-        z = rng.standard_normal(len(DRIVER_VARIABLES))
-        return np.repeat(z[:, None], n_years, axis=1)
-    return rng.standard_normal((len(DRIVER_VARIABLES), n_years))
-
-
-def _perturb_and_clamp(specs, z):
-    """Apply ``mean + z * sigma`` per variable and clamp to bounds.
-
-    ``z`` has shape (4, ...) with years on the last axis. Returns a dict of
-    per-variable arrays plus the number of clamped entries.
-    """
+def _simulate_rows(specs, model, master_seed: int, start: int, stop: int, mode: CorrelationMode):
+    """Emission matrix of realizations ``start .. stop - 1`` with its clamped
+    draw and prediction counts: ``mean + z * sigma`` per variable, clamped
+    to the variable bounds, then one ``predict_grid`` call."""
+    years = specs[0].mean.years
+    per_year = mode is CorrelationMode.INDEPENDENT_PER_YEAR
+    z = standard_normals(master_seed, start, stop, len(specs) * (len(years) if per_year else 1))
+    z = z.reshape(stop - start, len(specs), -1)
     drivers = {}
     clamped = 0
-    for i, spec in enumerate(specs):
-        mean = np.array(spec.mean.values)
-        sigma = np.array(spec.sigma.values)
-        raw = mean + z[i] * sigma
+    for k, spec in enumerate(specs):
+        # column-major keeps numpy's inner loops long when z has one column
+        raw = np.empty((stop - start, len(years)), order="F")
+        np.multiply(z[:, k, :], spec.sigma.values, out=raw)
+        raw += spec.mean.values
         lower, upper = spec.bounds
         clamped += int(np.count_nonzero((raw < lower) | (raw > upper)))
-        drivers[spec.variable] = np.clip(raw, lower, upper)
-    return drivers, clamped
+        drivers[spec.variable] = np.clip(raw, lower, upper, out=raw)
+    matrix = model.predict_grid(
+        years,
+        drivers["semis_twh"],
+        drivers["dc_twh"],
+        drivers["mix_factor"],
+        drivers["ai_share"],
+    )
+    pred_clamped = (
+        int(np.count_nonzero(matrix == 0.0)) if model.kind is ModelKind.LINEAR_REGRESSION else 0
+    )
+    return matrix, clamped, pred_clamped
 
 
 @dataclass(frozen=True)
@@ -242,18 +256,11 @@ def sample_realization(
 ) -> Realization:
     """Draw one realization; bit-identical to the matching row of
     :func:`run_simulation` for the same seed and index."""
-    years = specs[0].mean.years
-    z = _draw_standard_normals(master_seed, realization_index, correlation_mode, len(years))
-    drivers, clamped = _perturb_and_clamp(specs, z)
-    raw = model.predict_grid(
-        years,
-        drivers["semis_twh"],
-        drivers["dc_twh"],
-        drivers["mix_factor"],
-        drivers["ai_share"],
+    row, clamped, pred_clamped = _simulate_rows(
+        specs, model, master_seed, realization_index, realization_index + 1, correlation_mode
     )
-    pred_clamped = int(np.count_nonzero(raw == 0.0)) if model.kind.value == "linear_regression" else 0
-    emissions = AnnualSeries(Unit.MT_CO2, tuple((y, float(v)) for y, v in zip(years, raw)))
+    years = specs[0].mean.years
+    emissions = AnnualSeries(Unit.MT_CO2, tuple(zip(years, row[0].tolist())))
     return Realization(emissions, clamped, pred_clamped)
 
 
@@ -296,62 +303,17 @@ def run_simulation(
 ) -> EnsembleResult:
     """Evaluate the full ensemble.
 
-    The result is a pure function of ``(table, config)``: parallel and serial
-    execution fill identical matrices because each realization only depends
-    on its own substream and writes its own rows.
+    The result is a pure function of ``(table, config)``: each row depends
+    only on its own realization index (see :func:`standard_normals`).
+    ``workers`` is kept for compatibility; neither the output nor the speed
+    depends on it.
     """
     validate_driver_table(table)
     if model is None:
         model = fit_model(table, config.model_kind)
     specs = build_perturbations(table, config)
-    n_real = config.realizations
-    n_years = len(table.years)
-    n_vars = len(DRIVER_VARIABLES)
-
-    if config.correlation_mode is CorrelationMode.CORRELATED_PER_VARIABLE:
-        z = np.empty((n_real, n_vars, 1))
-
-        def fill(start: int, stop: int) -> None:
-            for i in range(start, stop):
-                rng = _substream(config.master_seed, i)
-                z[i, :, 0] = rng.standard_normal(n_vars)
-    else:
-        z = np.empty((n_real, n_vars, n_years))
-
-        def fill(start: int, stop: int) -> None:
-            for i in range(start, stop):
-                rng = _substream(config.master_seed, i)
-                z[i] = rng.standard_normal((n_vars, n_years))
-
-    if workers > 1:
-        chunk = -(-n_real // workers)
-        ranges = [(s, min(s + chunk, n_real)) for s in range(0, n_real, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: fill(*r), ranges))
-    else:
-        fill(0, n_real)
-
-    # Broadcasting (n_real, 1) or (n_real, n_years) z-slices against the
-    # per-year mean/sigma rows reproduces sample_realization elementwise.
-    drivers = {}
-    clamped = 0
-    for i, spec in enumerate(specs):
-        mean = np.array(spec.mean.values)
-        sigma = np.array(spec.sigma.values)
-        raw = mean + z[:, i, :] * sigma
-        lower, upper = spec.bounds
-        clamped += int(np.count_nonzero((raw < lower) | (raw > upper)))
-        drivers[spec.variable] = np.clip(raw, lower, upper)
-
-    matrix = model.predict_grid(
-        table.years,
-        drivers["semis_twh"],
-        drivers["dc_twh"],
-        drivers["mix_factor"],
-        drivers["ai_share"],
-    )
-    pred_clamped = (
-        int(np.count_nonzero(matrix == 0.0)) if model.kind.value == "linear_regression" else 0
+    matrix, clamped, pred_clamped = _simulate_rows(
+        specs, model, config.master_seed, 0, config.realizations, config.correlation_mode
     )
     return EnsembleResult(matrix, table.years, config.master_seed, config, clamped, pred_clamped)
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emisim.cli import build_parser, main
@@ -149,6 +151,16 @@ def test_simulate_writes_manifest(tmp_path):
     assert manifest["tool_version"]
 
 
+def test_simulate_manifest_records_stream_and_environment(tmp_path):
+    _simulate(tmp_path, "bands.csv", "--realizations", "10")
+    manifest = json.loads((tmp_path / "bands.csv.manifest.json").read_text())
+    assert manifest["rng_stream"] == "splitmix-boxmuller-v1"
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def test_simulate_zero_halfwidth_collapses_bands(tmp_path):
     out = _simulate(tmp_path, "flat.csv", "--halfwidth-pct", "0", "--realizations", "50")
     header, rows = _read_rows(out)
@@ -259,6 +271,41 @@ def test_simulate_no_partial_output_on_failure(tmp_path, capsys):
     assert main(["simulate", "--input", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+_MALFORMED_JSON = '{"seed": 1,'
+
+
+@pytest.mark.parametrize(
+    "files,flags,code",
+    [
+        ({}, ["--halfwidth-pct", "nan"], 2),
+        ({}, ["--halfwidth-pct", "inf"], 2),
+        ({"cfg.json": _MALFORMED_JSON}, ["--config", "cfg.json"], 2),
+        ({"cfg.json": "[1, 2]"}, ["--config", "cfg.json"], 2),
+        ({"cfg.json": '{"seed": "x"}'}, ["--config", "cfg.json"], 2),
+        ({"cfg.json": '{"halfwidths": {"dc_twh": {"points": 3}}}'}, ["--config", "cfg.json"], 2),
+        ({"hw.json": _MALFORMED_JSON}, ["--halfwidths", "hw.json"], 2),
+        ({"hw.json": '{"dc_twh": {"unit": "parsec", "points": []}}'}, ["--halfwidths", "hw.json"], 2),
+        ({"hw.json": '{"dc_twh": {"unit": "TWh"}}'}, ["--halfwidths", "hw.json"], 2),
+        ({}, ["--workers", "0"], 1),
+        ({}, ["--workers", "-3"], 1),
+    ],
+)
+def test_simulate_malformed_input_exit_codes(tmp_path, files, flags, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    flags = [str(tmp_path / f) if f in files else f for f in flags]
+    proc = subprocess.run(
+        [sys.executable, "-m", "emisim", "simulate", "--input", TABLE,
+         "--realizations", "10", "--out", str(tmp_path / "bands.csv"), *flags],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "bands.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtri  # independent quantile oracle
 
 from emisim.core import (
@@ -22,6 +23,7 @@ from emisim.ensemble import (
     run_simulation,
     sample_realization,
     sigma_to_ci,
+    standard_normals,
     substream_seed,
 )
 from emisim.errors import (
@@ -185,15 +187,45 @@ def test_sampled_drivers_respect_bounds_and_clamp_counter(table):
 
 
 def test_per_variable_draws_are_systematic_across_years(table):
-    # per-variable mode applies one z per variable across all years;
-    # per-year mode must not
-    from emisim.ensemble import _draw_standard_normals
+    # realization i reads its normals from row i of the kernel: variable-major,
+    # then year in per-year mode; one slot per variable, shared by every year,
+    # in per-variable mode
+    specs = build_perturbations(table, _config())
+    model = fit_implied_intensity(table)
+    n_years = len(table.years)
+    for mode, n_slots in ((CorrelationMode.CORRELATED_PER_VARIABLE, 4),
+                          (CorrelationMode.INDEPENDENT_PER_YEAR, 4 * n_years)):
+        z = standard_normals(42, 3, 4, n_slots).reshape(4, -1)
+        drivers = [np.array(s.mean.values) + z[k] * np.array(s.sigma.values)
+                   for k, s in enumerate(specs)]
+        expected = model.predict_grid(table.years, *drivers)
+        got = sample_realization(specs, model, 3, 42, mode)
+        assert np.array_equal(np.array(got.emissions.values), expected)
+        # fractional halfwidths: a shared z scales every year by the same factor
+        ratio = expected / np.asarray(table.column("co2_mt"))
+        systematic = np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
+        assert systematic == (mode is CorrelationMode.CORRELATED_PER_VARIABLE)
 
-    z = _draw_standard_normals(42, 3, CorrelationMode.CORRELATED_PER_VARIABLE, len(table.years))
-    assert z.shape == (4, len(table.years))
-    assert np.all(z == z[:, :1])
-    z_indep = _draw_standard_normals(42, 3, CorrelationMode.INDEPENDENT_PER_YEAR, len(table.years))
-    assert not np.all(z_indep == z_indep[:, :1])
+
+@pytest.mark.parametrize("n_slots", [4, 64])
+@pytest.mark.parametrize("seed", [0, 42, 2**63 - 1])
+def test_standard_normals_position_independent(n_slots, seed):
+    # the determinism contract: a row is the same whether it is computed
+    # alone, inside a slice, or inside the full call
+    full = standard_normals(seed, 0, 3_000, n_slots)
+    assert full.shape == (3_000, n_slots)
+    for i in (0, 1, 511, 512, 1023, 1024, 1025, 2047, 2999):
+        assert np.array_equal(standard_normals(seed, i, i + 1, n_slots)[0], full[i])
+    assert np.array_equal(standard_normals(seed, 777, 2_345, n_slots), full[777:2_345])
+    assert not np.array_equal(standard_normals(seed + 1, 0, 3_000, n_slots), full)
+
+
+def test_standard_normals_distribution():
+    draws = standard_normals(2024, 0, 50_000, 4).ravel()
+    n = draws.size
+    assert stats.kstest(draws, "norm").pvalue > 0.01
+    assert abs(draws.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(draws.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
 
 
 def test_correlation_modes_differ(table):
@@ -357,6 +389,18 @@ def test_bands_stay_inside_extreme_scenario_envelope(table):
     for year in range(2030, 2036):
         assert b.value(year, 5.0) >= 35.0
         assert b.value(year, 95.0) <= 240.0
+
+
+def test_seed_42_bands_are_pinned(table):
+    # a change of the random stream (RNG_STREAM) must show up here
+    b = bands(run_simulation(table, SimulationConfig(realizations=10_000, master_seed=42)))
+    pinned = {
+        2030: (112.27212200064794, 125.74910473868667, 139.87285353540113),
+        2035: (109.59897623872772, 122.7550784353846, 136.54254749884393),
+    }
+    for year, levels in pinned.items():
+        for p, want in zip((5.0, 50.0, 95.0), levels):
+            assert b.value(year, p) == pytest.approx(want, rel=1e-9)
 
 
 def test_widening_halfwidths_weakly_widen_bands(table):
