@@ -47,9 +47,10 @@ from .ingest import (
     inference_energy,
     load_bundle,
     parse_driver_csv,
+    read_json,
     series_to_csv_text,
 )
-from .model import fit_model, model_to_json
+from .model import fit_model, model_to_json, predict_table
 
 _MODEL_NAMES = {"intensity": ModelKind.IMPLIED_INTENSITY, "regression": ModelKind.LINEAR_REGRESSION}
 _CORRELATION_NAMES = {
@@ -126,18 +127,6 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
         raise SchemaError(1, 1, f"bad percentile list {text!r}") from None
 
 
-def _read_json(path: str, convert):
-    """``convert`` applied to the JSON document in ``path``. Malformed JSON
-    and content that ``convert`` rejects end as a one-line SchemaError."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return convert(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(exc.lineno, exc.colno, f"malformed JSON in {path}: {exc.msg}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(1, 1, f"bad content in {path}: {type(exc).__name__}: {exc}") from None
-
-
 def _json_object(doc) -> dict:
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
@@ -171,7 +160,7 @@ def _config_values(doc) -> dict:
 
 
 def _resolve_simulation_config(args) -> SimulationConfig:
-    file_cfg = _read_json(args.config, _config_values) if args.config else {}
+    file_cfg = read_json(args.config, _config_values) if args.config else {}
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -179,7 +168,7 @@ def _resolve_simulation_config(args) -> SimulationConfig:
         return file_cfg.get(key, default)
 
     if args.halfwidths:
-        halfwidths = _read_json(args.halfwidths, _halfwidths_from_dict)
+        halfwidths = read_json(args.halfwidths, _halfwidths_from_dict)
     elif args.halfwidth_pct is not None:
         halfwidths = {v: args.halfwidth_pct for v in default_halfwidths()}
     elif "halfwidths" in file_cfg:
@@ -232,10 +221,10 @@ def cmd_emissions(args) -> int:
     source = _load_bundle_or_table(args.input)
     if isinstance(source, DriverTable):
         model = fit_model(source, _MODEL_NAMES[args.model or "intensity"])
-        curve = model.predict_table(source)
+        points = list(zip(source.years, predict_table(model, source).tolist()))
         lines = ["year,mean"]
-        lines += [f"{y},{v!r}" for y, v in curve.points]
-        doc = {"mean": {str(y): v for y, v in curve.points}}
+        lines += [f"{y},{v!r}" for y, v in points]
+        doc = {"mean": {str(y): v for y, v in points}}
         _emit(args, "\n".join(lines) + "\n", doc)
         return EXIT_OK
     trajectories = list(source.trajectories)
@@ -270,11 +259,7 @@ def cmd_mean(args) -> int:
 def cmd_fit(args) -> int:
     table = parse_driver_csv(args.input)
     model = fit_model(table, _MODEL_NAMES[args.model or "intensity"])
-    text = model_to_json(model)
-    if args.out:
-        write_text_atomic(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, model_to_json(model))
     return EXIT_OK
 
 
@@ -285,16 +270,9 @@ def cmd_simulate(args) -> int:
     result = run_simulation(table, config, workers=args.workers)
     band = bands(result)
 
+    _emit(args, band.to_csv_text(), band.to_dict())
     out_path = Path(args.out) if args.out else None
-    outputs = []
-    if out_path:
-        if args.format == "json":
-            write_text_atomic(out_path, json.dumps(band.to_dict(), indent=2) + "\n")
-        else:
-            write_text_atomic(out_path, band.to_csv_text())
-        outputs.append(str(out_path))
-    else:
-        sys.stdout.write(band.to_csv_text())
+    outputs = [str(out_path)] if out_path else []
 
     if args.matrix_out:
         write_text_atomic(Path(args.matrix_out), result.to_csv_text())

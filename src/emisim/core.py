@@ -99,10 +99,6 @@ class AnnualSeries:
             elif value < 0.0:
                 raise ValueError(f"negative {self.unit.value} value at year {year}")
 
-    @classmethod
-    def from_mapping(cls, unit: Unit, mapping: Mapping[int, float], contiguous: bool = False) -> "AnnualSeries":
-        return cls(unit, tuple(sorted(mapping.items())), contiguous)
-
     @property
     def years(self) -> tuple[int, ...]:
         return tuple(y for y, _ in self.points)
@@ -119,9 +115,6 @@ class AnnualSeries:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __contains__(self, year: int) -> bool:
-        return any(y == year for y, _ in self.points)
 
 
 @dataclass(frozen=True)
@@ -174,12 +167,6 @@ class DriverTable:
             Unit.MT_CO2 if name == "co2_mt" else Unit.TWH
         )
         return AnnualSeries(unit, tuple((r.year, getattr(r, name)) for r in self.rows), contiguous=True)
-
-    def row_for(self, year: int) -> DriverRow:
-        for r in self.rows:
-            if r.year == year:
-                return r
-        raise KeyError(f"year {year} not in driver table")
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -322,14 +322,17 @@ def run_simulation(
 # Percentiles and bands
 # ---------------------------------------------------------------------------
 
-def _percentile_sorted(sorted_values, p: float) -> float:
-    n = len(sorted_values)
-    rank = (p / 100.0) * (n - 1)
-    lo = int(math.floor(rank))
-    frac = rank - lo
-    if lo + 1 > n - 1:
-        return float(sorted_values[lo])
-    return float(sorted_values[lo] + frac * (sorted_values[lo + 1] - sorted_values[lo]))
+def _order_statistics(sorted_rows: np.ndarray, percentiles) -> np.ndarray:
+    """Percentiles of each row of ``sorted_rows`` (sorted along its last
+    axis), shape ``(rows, len(percentiles))``: with rank
+    ``r = p / 100 * (n - 1)``, the value at ``floor(r)`` plus ``r - floor(r)``
+    times the step to the next order statistic."""
+    n = sorted_rows.shape[-1]
+    ranks = np.asarray(percentiles, dtype=float) / 100.0 * (n - 1)
+    lo = np.floor(ranks).astype(np.intp)
+    below = sorted_rows[:, lo]
+    above = sorted_rows[:, np.minimum(lo + 1, n - 1)]
+    return below + (ranks - lo) * (above - below)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -338,7 +341,7 @@ def percentile(values: Sequence[float], p: float) -> float:
         raise EmptyInputError("percentile of empty list")
     if not 0.0 < p < 100.0:
         raise ValueError(f"percentile {p} outside (0, 100)")
-    return _percentile_sorted(sorted(values), p)
+    return float(_order_statistics(np.sort(np.asarray(values, dtype=float))[None, :], (p,))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -383,15 +386,13 @@ def bands_from_matrix(matrix: np.ndarray, years, percentiles) -> PercentileBands
     if matrix.size == 0:
         raise EmptyEnsembleError("cannot take percentiles of an empty ensemble")
     percentiles = tuple(float(p) for p in percentiles)
-    n_years = matrix.shape[1]
-    levels = np.empty((n_years, len(percentiles)))
-    means = np.empty(n_years)
-    for j in range(n_years):
-        col = np.sort(matrix[:, j])
-        for k, p in enumerate(percentiles):
-            levels[j, k] = _percentile_sorted(col, p)
-        # constant columns keep the degenerate (sigma = 0) collapse bit-exact
-        means[j] = col[0] if col[0] == col[-1] else col.mean()
+    # one C-contiguous row per year, whatever the input layout: numpy sums a
+    # row pairwise only along contiguous memory, so the means stay bit-exact
+    columns = np.array(matrix.T, order="C")
+    columns.sort(axis=1)
+    levels = _order_statistics(columns, percentiles)
+    # constant columns keep the degenerate (sigma = 0) collapse bit-exact
+    means = np.where(columns[:, 0] == columns[:, -1], columns[:, 0], columns.mean(axis=1))
     return PercentileBands(tuple(years), percentiles, levels, means)
 
 

@@ -121,6 +121,19 @@ def parse_series_csv_text(text: str, unit: Unit) -> AnnualSeries:
         raise SchemaError(2, 2, str(exc)) from None
 
 
+def read_json(path: str | Path, convert):
+    """``convert`` applied to the JSON document in ``path``. Malformed JSON
+    and content that ``convert`` rejects end as a one-line SchemaError; a
+    file that cannot be read raises OSError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return convert(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(exc.lineno, exc.colno, f"malformed JSON in {path}: {exc.msg}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(1, 1, f"bad content in {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _driver_table_from_json(doc) -> DriverTable:
     rows = doc["rows"] if isinstance(doc, Mapping) else doc
     out = []
@@ -137,23 +150,24 @@ def _driver_table_from_json(doc) -> DriverTable:
 def parse_driver_csv(path: str | Path) -> DriverTable:
     """Parse and validate a driver table from a CSV (or JSON) file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
-        return _driver_table_from_json(json.loads(text))
-    return parse_driver_csv_text(text)
+        return read_json(path, _driver_table_from_json)
+    return parse_driver_csv_text(path.read_text(encoding="utf-8"))
 
 
 def parse_series_csv(path: str | Path, unit: Unit) -> AnnualSeries:
     """Parse an annual series from a CSV (or JSON ``[[year, value], ...]``)."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
-        doc = json.loads(text)
-        points = doc["points"] if isinstance(doc, Mapping) else doc
-        if isinstance(doc, Mapping) and "unit" in doc:
-            unit = Unit(doc["unit"])
-        return AnnualSeries(unit, tuple((int(y), float(v)) for y, v in points))
-    return parse_series_csv_text(text, unit)
+        return read_json(path, lambda doc: _series_from_json(doc, unit))
+    return parse_series_csv_text(path.read_text(encoding="utf-8"), unit)
+
+
+def _series_from_json(doc, unit: Unit) -> AnnualSeries:
+    points = doc["points"] if isinstance(doc, Mapping) else doc
+    if isinstance(doc, Mapping) and "unit" in doc:
+        unit = Unit(doc["unit"])
+    return AnnualSeries(unit, tuple((int(y), float(v)) for y, v in points))
 
 
 def driver_table_to_csv_text(table: DriverTable) -> str:
@@ -235,21 +249,7 @@ def bundle_to_json_text(bundle: ScenarioBundle) -> str:
 
 
 def load_bundle(path: str | Path) -> ScenarioBundle:
-    return bundle_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def interpolate_anchors(anchors: Sequence[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    """Fill every year between anchor points by linear interpolation."""
-    if len(anchors) < 1:
-        raise ValueError("need at least one anchor")
-    points = []
-    for (y0, v0), (y1, v1) in zip(anchors, anchors[1:]):
-        if y1 <= y0:
-            raise ValueError("anchor years must increase")
-        for y in range(y0, y1):
-            points.append((y, v0 + (v1 - v0) * (y - y0) / (y1 - y0)))
-    points.append(tuple(anchors[-1]))
-    return tuple(points)
+    return read_json(path, bundle_from_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import AnnualSeries, DriverTable, ModelKind, Unit
+from .core import DRIVER_VARIABLES, AnnualSeries, DriverTable, ModelKind, Unit
 from .errors import DegenerateRowError, RankDeficientDesignError, YearOutsideFitError
 
 
@@ -52,30 +52,11 @@ class ImpliedIntensityModel:
                 f"year {year} outside fitted range {self.years[0]}-{self.years[-1]}"
             ) from None
 
-    def predict(self, year, semis_twh=0.0, dc_twh=0.0, mix_factor=0.0, ai_share=0.0):
-        value, _ = self.predict_flagged(year, semis_twh, dc_twh, mix_factor, ai_share)
-        return value
-
-    def predict_flagged(self, year, semis_twh=0.0, dc_twh=0.0, mix_factor=0.0, ai_share=0.0):
-        """Return ``(mt_co2, clamped)``; the product form never goes negative
-        for in-range drivers, so ``clamped`` only fires on negative inputs."""
-        value = self.kappa_at(year) * dc_twh * ai_share * mix_factor
-        if value < 0.0:
-            return 0.0, True
-        return value, False
-
     def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
         """Vectorized prediction; driver arrays have years on the last axis."""
         kappa_row = np.array([self.kappa_at(int(y)) for y in years])
         values = kappa_row * np.asarray(dc_twh) * np.asarray(ai_share) * np.asarray(mix_factor)
         return np.maximum(values, 0.0)
-
-    def predict_table(self, table: DriverTable) -> AnnualSeries:
-        points = tuple(
-            (r.year, self.predict(r.year, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share))
-            for r in table.rows
-        )
-        return AnnualSeries(Unit.MT_CO2, points)
 
     def diagnostics(self) -> dict:
         values = self.kappa.values
@@ -92,8 +73,9 @@ class LinearRegressionModel:
     """OLS fit of CO2 on an intercept plus the four driver columns.
 
     ``coefficients`` is (b0, b_semis, b_dc, b_mix, b_ai). Negative predictions
-    clamp to zero with a flag, since Monte Carlo tail draws can push drivers
-    low enough to cross the fitted plane.
+    clamp to zero, since Monte Carlo tail draws can push drivers low enough
+    to cross the fitted plane; ``EnsembleResult.clamped_predictions`` counts
+    them.
     """
 
     coefficients: tuple[float, float, float, float, float]
@@ -109,17 +91,6 @@ class LinearRegressionModel:
         if not all(np.isfinite(stats)):
             raise ValueError("non-finite fit diagnostics")
 
-    def predict(self, year, semis_twh=0.0, dc_twh=0.0, mix_factor=0.0, ai_share=0.0):
-        value, _ = self.predict_flagged(year, semis_twh, dc_twh, mix_factor, ai_share)
-        return value
-
-    def predict_flagged(self, year, semis_twh=0.0, dc_twh=0.0, mix_factor=0.0, ai_share=0.0):
-        b0, b1, b2, b3, b4 = self.coefficients
-        value = b0 + b1 * semis_twh + b2 * dc_twh + b3 * mix_factor + b4 * ai_share
-        if value < 0.0:
-            return 0.0, True
-        return value, False
-
     def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
         b0, b1, b2, b3, b4 = self.coefficients
         values = (
@@ -131,13 +102,6 @@ class LinearRegressionModel:
         )
         return np.maximum(values, 0.0)
 
-    def predict_table(self, table: DriverTable) -> AnnualSeries:
-        points = tuple(
-            (r.year, self.predict(r.year, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share))
-            for r in table.rows
-        )
-        return AnnualSeries(Unit.MT_CO2, points)
-
     def diagnostics(self) -> dict:
         return {
             "residual_sum_of_squares": self.residual_sum_of_squares,
@@ -146,6 +110,11 @@ class LinearRegressionModel:
 
 
 EmissionModel = ImpliedIntensityModel | LinearRegressionModel
+
+
+def predict_table(model: EmissionModel, table: DriverTable) -> np.ndarray:
+    """Mt CO2 predicted for each row of ``table``, in row order."""
+    return model.predict_grid(table.years, *(table.column(v) for v in DRIVER_VARIABLES))
 
 
 def fit_implied_intensity(table: DriverTable) -> ImpliedIntensityModel:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -10,9 +11,25 @@ import pytest
 
 from emisim.cli import build_parser, main
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "emisim" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = SRC / "emisim" / "data"
 TABLE = str(DATA_DIR / "table2.csv")
 BUNDLE = str(DATA_DIR / "ai_co2_scenarios.json")
+
+
+def _run_emisim(*argv):
+    """``python -m emisim`` in a child process that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "emisim", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def _assert_clean_failure(proc, code):
+    """Exit ``code`` without a traceback, and one stderr line for exit 2."""
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def _read_rows(path):
@@ -219,13 +236,19 @@ def test_simulate_halfwidths_file(tmp_path):
     assert manifest["config"]["halfwidths"]["dc_twh"]["points"][0] == [2020, 40.0]
 
 
-def test_simulate_json_format(tmp_path):
+def test_simulate_json_format(tmp_path, capsys):
     out = tmp_path / "bands.json"
-    assert main(["simulate", "--input", TABLE, "--seed", "42", "--realizations", "50",
-                 "--format", "json", "--out", str(out)]) == 0
+    argv = ["simulate", "--input", TABLE, "--seed", "42", "--realizations", "50", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["years"][0] == 2020
     assert doc["percentiles"] == [5.0, 50.0, 95.0]
+    capsys.readouterr()
+    # without --out the same JSON goes to stdout
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout) == doc
+    assert stdout == out.read_text()
 
 
 def test_simulate_percentiles_flag(tmp_path):
@@ -296,16 +319,35 @@ def test_simulate_malformed_input_exit_codes(tmp_path, files, flags, code):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     flags = [str(tmp_path / f) if f in files else f for f in flags]
-    proc = subprocess.run(
-        [sys.executable, "-m", "emisim", "simulate", "--input", TABLE,
-         "--realizations", "10", "--out", str(tmp_path / "bands.csv"), *flags],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == code
-    assert "Traceback" not in proc.stderr
-    if code == 2:
-        assert len(proc.stderr.strip().splitlines()) == 1
+    proc = _run_emisim("simulate", "--input", TABLE, "--realizations", "10",
+                       "--out", str(tmp_path / "bands.csv"), *flags)
+    _assert_clean_failure(proc, code)
     assert not (tmp_path / "bands.csv").exists()
+
+
+_DRIVER_ROW = {"semis_twh": 91, "dc_twh": 269, "mix_factor": 0.62, "ai_share": 0.02, "co2_mt": 1.03}
+_BAD_YEAR_TABLE = json.dumps({"rows": [{"year": "a", **_DRIVER_ROW}]})
+_NO_UNIT_BUNDLE = json.dumps(
+    {"trajectories": [{"name": "Sustainable AI", "family": "AIStudy", "points": [[2020, 1.0]]}]}
+)
+
+
+@pytest.mark.parametrize(
+    "command,name,text",
+    [
+        ("emissions", "bundle.json", _NO_UNIT_BUNDLE),
+        ("mean", "bundle.json", '{"trajectories": ['),
+        ("validate", "table.json", _BAD_YEAR_TABLE),
+        ("fit", "table.json", _BAD_YEAR_TABLE),
+        ("simulate", "table.json", _BAD_YEAR_TABLE),
+    ],
+    ids=["emissions-no-unit", "mean-truncated", "validate-bad-year", "fit-bad-year",
+         "simulate-bad-year"],
+)
+def test_malformed_json_input_exit_codes(tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    _assert_clean_failure(_run_emisim(command, "--input", str(path)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +442,7 @@ def test_help_lists_flags(command, expected_flags, capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "emisim", "--version"], capture_output=True, text=True
-    )
+    proc = _run_emisim("--version")
     assert proc.returncode == 0
     assert "emisim" in proc.stdout
 

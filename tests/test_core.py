@@ -65,7 +65,7 @@ def test_series_value_constraints():
 def test_series_lookup():
     s = AnnualSeries(Unit.MT_CO2, ((2020, 1.0), (2021, 2.0)))
     assert s.value_at(2021) == 2.0
-    assert 2020 in s and 2019 not in s
+    assert 2020 in s.years and 2019 not in s.years
     with pytest.raises(KeyError):
         s.value_at(2019)
 

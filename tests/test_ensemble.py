@@ -33,7 +33,7 @@ from emisim.errors import (
     MissingHalfwidthError,
 )
 from emisim.ingest import bundled_driver_table
-from emisim.model import fit_implied_intensity
+from emisim.model import fit_implied_intensity, predict_table
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,7 @@ def test_sample_realization_sigma_zero_equals_mean_curve(table):
     specs = build_perturbations(table, cfg)
     model = fit_implied_intensity(table)
     r = sample_realization(specs, model, 0, 42)
-    assert r.emissions.points == model.predict_table(table).points
+    assert r.emissions.points == tuple(zip(table.years, predict_table(model, table).tolist()))
     assert r.clamped_draws == 0
 
 
@@ -356,9 +356,8 @@ def test_bands_degenerate_sigma_collapse(table):
     cfg = _config(halfwidths=_uniform_halfwidths(0.0))
     result = run_simulation(table, cfg)
     b = bands(result)
-    model_curve = fit_implied_intensity(table).predict_table(table)
-    for i, year in enumerate(table.years):
-        expected = model_curve.value_at(year)
+    model_curve = predict_table(fit_implied_intensity(table), table).tolist()
+    for i, (year, expected) in enumerate(zip(table.years, model_curve)):
         assert b.value(year, 5.0) == expected
         assert b.value(year, 50.0) == expected
         assert b.value(year, 95.0) == expected
@@ -381,6 +380,31 @@ def test_bands_monotone_on_random_ensembles():
         years = tuple(range(2020, 2020 + n_years))
         b = bands_from_matrix(matrix, years, (5.0, 50.0, 95.0))
         assert np.all(np.diff(b.levels, axis=1) >= 0.0)
+
+
+def _type7(sorted_values, p):
+    """Hyndman & Fan type 7 percentile of a sorted list, in scalar arithmetic."""
+    rank = p / 100.0 * (len(sorted_values) - 1)
+    lo = math.floor(rank)
+    if lo + 1 == len(sorted_values):
+        return sorted_values[lo]
+    return sorted_values[lo] + (rank - lo) * (sorted_values[lo + 1] - sorted_values[lo])
+
+
+def test_bands_do_not_depend_on_matrix_layout(table):
+    cfg = _config(realizations=1_000, correlation_mode=CorrelationMode.INDEPENDENT_PER_YEAR)
+    matrix = run_simulation(table, cfg).matrix
+    ps = (5.0, 50.0, 95.0)
+    # reference: each column sorted on its own, as one contiguous 1-D array
+    columns = [np.sort(matrix[:, j]) for j in range(matrix.shape[1])]
+    assert all(col[0] != col[-1] for col in columns)
+    expected_mean = np.array([col.mean() for col in columns])
+    expected_levels = np.array([[_type7(col.tolist(), p) for p in ps] for col in columns])
+    c_order = np.ascontiguousarray(matrix)
+    for layout in (c_order, np.asfortranarray(matrix), c_order[::-1]):
+        b = bands_from_matrix(layout, table.years, ps)
+        assert b.mean.tobytes() == expected_mean.tobytes()
+        assert b.levels.tobytes() == expected_levels.tobytes()
 
 
 def test_bands_stay_inside_extreme_scenario_envelope(table):

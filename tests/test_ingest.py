@@ -24,7 +24,6 @@ from emisim.ingest import (
     equivalent_homes,
     inference_energy,
     inference_table_to_csv_text,
-    interpolate_anchors,
     parse_driver_csv,
     parse_driver_csv_text,
     parse_series_csv,
@@ -42,8 +41,9 @@ DRIVER_HEADER = "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt"
 def test_bundled_table_parses():
     table = bundled_driver_table()
     assert len(table) == 16
-    assert table.row_for(2030).dc_twh == 918.0
-    assert table.row_for(2035).co2_mt == 123.0
+    rows = {r.year: r for r in table.rows}
+    assert rows[2030].dc_twh == 918.0
+    assert rows[2035].co2_mt == 123.0
 
 
 def test_header_typo_reports_line_one():
@@ -168,13 +168,6 @@ def test_bundled_scenario_anchor_values():
     assert by_name["Abundance Without Boundaries"].value_at(2035) == 240.0
     assert by_name["Energy Crisis"].value_at(2030) == 130.0
     assert by_name["Energy Crisis"].value_at(2035) == 35.0
-
-
-def test_interpolate_anchors():
-    points = interpolate_anchors([(2020, 0.0), (2022, 10.0), (2024, 10.0)])
-    assert points == ((2020, 0.0), (2021, 5.0), (2022, 10.0), (2023, 10.0), (2024, 10.0))
-    with pytest.raises(ValueError):
-        interpolate_anchors([(2022, 1.0), (2020, 2.0)])
 
 
 # ---------------------------------------------------------------------------

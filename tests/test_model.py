@@ -13,6 +13,7 @@ from emisim.model import (
     fit_linear_regression,
     model_from_json,
     model_to_json,
+    predict_table,
 )
 
 
@@ -33,6 +34,15 @@ def _design(table):
         ]
     )
     return X, np.asarray(table.column("co2_mt"))
+
+
+def _row(table, year):
+    return {r.year: r for r in table.rows}[year]
+
+
+def _predict(model, year, semis_twh, dc_twh, mix_factor, ai_share):
+    """One prediction through the grid path, as a Python float."""
+    return float(model.predict_grid((year,), [semis_twh], [dc_twh], [mix_factor], [ai_share])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -56,47 +66,46 @@ def test_kappa_synthetic_unit_intensity():
 
 def test_exact_fit_reproduces_training_column(table):
     model = fit_implied_intensity(table)
-    for row in table.rows:
-        pred = model.predict(row.year, row.semis_twh, row.dc_twh, row.mix_factor, row.ai_share)
+    for row, pred in zip(table.rows, predict_table(model, table)):
         assert abs(pred - row.co2_mt) / row.co2_mt <= 1e-12
 
 
 def test_predict_examples(table):
     model = fit_implied_intensity(table)
-    r2030 = table.row_for(2030)
-    pred = model.predict(2030, r2030.semis_twh, r2030.dc_twh, r2030.mix_factor, r2030.ai_share)
+    r2030 = _row(table, 2030)
+    pred = _predict(model, 2030, r2030.semis_twh, r2030.dc_twh, r2030.mix_factor, r2030.ai_share)
     assert abs(pred - 126.0) / 126.0 <= 1e-9
-    doubled = model.predict(2030, r2030.semis_twh, r2030.dc_twh, r2030.mix_factor, 2 * r2030.ai_share)
+    doubled = _predict(model, 2030, r2030.semis_twh, r2030.dc_twh, r2030.mix_factor, 2 * r2030.ai_share)
     assert doubled == pytest.approx(252.0, rel=1e-9)
-    r2035 = table.row_for(2035)
-    pred35 = model.predict(2035, r2035.semis_twh, r2035.dc_twh, r2035.mix_factor, r2035.ai_share)
+    r2035 = _row(table, 2035)
+    pred35 = _predict(model, 2035, r2035.semis_twh, r2035.dc_twh, r2035.mix_factor, r2035.ai_share)
     assert abs(pred35 - 123.0) / 123.0 <= 1e-9
 
 
 def test_predict_multiplicative_homogeneity(table):
     model = fit_implied_intensity(table)
-    r = table.row_for(2027)
-    base = model.predict(2027, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share)
+    r = _row(table, 2027)
+    base = _predict(model, 2027, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share)
     # power-of-two scale factors commute exactly with float multiplication
-    assert model.predict(2027, r.semis_twh, 2 * r.dc_twh, r.mix_factor, r.ai_share) == 2 * base
-    assert model.predict(2027, r.semis_twh, r.dc_twh, 0.5 * r.mix_factor, r.ai_share) == 0.5 * base
-    scaled = model.predict(2027, r.semis_twh, r.dc_twh, r.mix_factor, 1.7 * r.ai_share)
+    assert _predict(model, 2027, r.semis_twh, 2 * r.dc_twh, r.mix_factor, r.ai_share) == 2 * base
+    assert _predict(model, 2027, r.semis_twh, r.dc_twh, 0.5 * r.mix_factor, r.ai_share) == 0.5 * base
+    scaled = _predict(model, 2027, r.semis_twh, r.dc_twh, r.mix_factor, 1.7 * r.ai_share)
     assert scaled == pytest.approx(1.7 * base, rel=1e-14)
 
 
 def test_predict_is_deterministic(table):
     model = fit_implied_intensity(table)
-    r = table.row_for(2031)
+    r = _row(table, 2031)
     args = (2031, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share)
-    assert model.predict(*args) == model.predict(*args)
+    assert _predict(model, *args) == _predict(model, *args)
 
 
 def test_year_outside_fit(table):
     model = fit_implied_intensity(table)
     with pytest.raises(YearOutsideFitError):
-        model.predict(2036, 0.0, 1000.0, 0.3, 0.6)
+        _predict(model, 2036, 0.0, 1000.0, 0.3, 0.6)
     with pytest.raises(YearOutsideFitError):
-        model.predict(2019, 0.0, 1000.0, 0.3, 0.6)
+        _predict(model, 2019, 0.0, 1000.0, 0.3, 0.6)
 
 
 def test_degenerate_row_lists_year():
@@ -164,15 +173,13 @@ def test_ols_needs_six_rows(table):
 def test_regression_clamps_negative_predictions(table):
     model = fit_linear_regression(table)
     # drive everything to zero: intercept is negative for the bundled fit
-    value, clamped = model.predict_flagged(2030, 0.0, 0.0, 0.0, 0.0)
     assert model.coefficients[0] < 0.0
-    assert value == 0.0 and clamped
-    value, clamped = model.predict_flagged(2030, *_mid_drivers(table))
-    assert value > 0.0 and not clamped
+    assert _predict(model, 2030, 0.0, 0.0, 0.0, 0.0) == 0.0
+    assert _predict(model, 2030, *_mid_drivers(table)) > 0.0
 
 
 def _mid_drivers(table):
-    r = table.row_for(2030)
+    r = _row(table, 2030)
     return r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share
 
 
@@ -184,9 +191,9 @@ def test_intensity_model_json_roundtrip(table):
     model = fit_implied_intensity(table)
     restored = model_from_json(model_to_json(model))
     assert restored.kappa.points == model.kappa.points
-    r = table.row_for(2033)
-    assert restored.predict(2033, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share) == \
-        model.predict(2033, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share)
+    r = _row(table, 2033)
+    assert _predict(restored, 2033, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share) == \
+        _predict(model, 2033, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share)
 
 
 def test_regression_model_json_roundtrip(table):
