@@ -35,6 +35,7 @@ from .core import (
     Unit,
     default_halfwidths,
     mean_scenario,
+    validate_percentiles,
 )
 from .ensemble import RNG_STREAM, bands, bands_from_matrix, run_simulation
 from .errors import EXIT_IO, EXIT_OK, EXIT_USAGE, EmisimError, EmptyInputError, SchemaError
@@ -48,6 +49,7 @@ from .ingest import (
     load_bundle,
     parse_driver_csv,
     read_json,
+    read_text,
     series_to_csv_text,
 )
 from .model import fit_model, model_to_json, predict_table
@@ -124,7 +126,7 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise SchemaError(1, 1, f"bad percentile list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad percentile list {text!r}") from None
 
 
 def _json_object(doc) -> dict:
@@ -304,18 +306,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        percentiles = validate_percentiles(args.percentiles or (5.0, 50.0, 95.0))
+    except ValueError as exc:
+        raise EmisimError(f"bad percentiles: {exc}") from None
+    lines = [ln for ln in read_text(args.input).splitlines() if ln.strip()]
     if len(lines) < 2:
         raise SchemaError(1, 1, "no data rows")
     try:
         years = tuple(int(c) for c in lines[0].split(","))
-        matrix = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        matrix = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise SchemaError(1, 1, f"bad ensemble matrix: {exc}") from None
-    if matrix.ndim != 2 or matrix.shape[1] != len(years):
+    if matrix.shape[1] != len(years):
         raise SchemaError(1, 1, "ragged ensemble matrix")
-    percentiles = args.percentiles if args.percentiles is not None else (5.0, 50.0, 95.0)
     band = bands_from_matrix(matrix, years, percentiles)
     _emit(args, band.to_csv_text(), band.to_dict())
     return EXIT_OK

@@ -184,6 +184,18 @@ def default_halfwidths() -> dict[str, float]:
     return {v: DEFAULT_HALFWIDTH_FRACTION for v in DRIVER_VARIABLES}
 
 
+def validate_percentiles(percentiles) -> tuple[float, ...]:
+    """``percentiles`` as floats; each must lie in (0, 100), strictly
+    increasing, or ValueError is raised."""
+    percentiles = tuple(float(p) for p in percentiles)
+    for p in percentiles:
+        if not 0.0 < p < 100.0:
+            raise ValueError(f"percentile {p} outside (0, 100)")
+    if any(a >= b for a, b in zip(percentiles, percentiles[1:])):
+        raise ValueError("percentiles must be strictly increasing")
+    return percentiles
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Knobs for the Monte Carlo ensemble.
@@ -205,12 +217,7 @@ class SimulationConfig:
             raise ValueError("realizations must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
-        object.__setattr__(self, "percentiles", tuple(float(p) for p in self.percentiles))
-        for p in self.percentiles:
-            if not 0.0 < p < 100.0:
-                raise ValueError(f"percentile {p} outside (0, 100)")
-        if any(a >= b for a, b in zip(self.percentiles, self.percentiles[1:])):
-            raise ValueError("percentiles must be strictly increasing")
+        object.__setattr__(self, "percentiles", validate_percentiles(self.percentiles))
         for name, spec in self.halfwidths.items():
             if name not in DRIVER_VARIABLES:
                 raise ValueError(f"unknown driver variable {name!r}")

@@ -57,6 +57,9 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _GAMMA = np.uint64(_SPLITMIX_GAMMA)
 # Pairs of normals computed per block; bounds the temporaries, not the output.
 _BLOCK_PAIRS = 1 << 15
+# Elements of the widest per-row array (normals or one driver) per block of
+# rows in _simulate_rows; bounds its temporaries, not its output.
+_BLOCK_ELEMS = 1 << 16
 
 
 def _splitmix64(state: np.ndarray) -> np.ndarray:
@@ -210,28 +213,35 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> list[Pe
 def _simulate_rows(specs, model, master_seed: int, start: int, stop: int, mode: CorrelationMode):
     """Emission matrix of realizations ``start .. stop - 1`` with its clamped
     draw and prediction counts: ``mean + z * sigma`` per variable, clamped
-    to the variable bounds, then one ``predict_grid`` call."""
+    to the variable bounds, then one ``predict_grid`` call.
+
+    The draws are made in blocks of rows written straight into the driver
+    arrays, so besides those arrays and the model's output only one block
+    of normals is held at a time."""
     years = specs[0].mean.years
     per_year = mode is CorrelationMode.INDEPENDENT_PER_YEAR
-    z = standard_normals(master_seed, start, stop, len(specs) * (len(years) if per_year else 1))
-    z = z.reshape(stop - start, len(specs), -1)
-    drivers = {}
+    n_slots = len(specs) * (len(years) if per_year else 1)
+    n_rows = stop - start
+    # (variable, year, realization): each driver is a column-major
+    # (realizations x years) view, which keeps numpy's inner loops long
+    # when z has one column, and a block of rows is one slice for all four
+    drivers = np.empty((len(specs), len(years), n_rows))
+    sigma = np.array([spec.sigma.values for spec in specs])[:, :, None]
+    mean = np.array([spec.mean.values for spec in specs])[:, :, None]
+    bounds = np.array([spec.bounds for spec in specs])
+    lower, upper = bounds[:, 0, None, None], bounds[:, 1, None, None]
+    step = max(1, _BLOCK_ELEMS // max(n_slots, len(years)))
     clamped = 0
-    for k, spec in enumerate(specs):
-        # column-major keeps numpy's inner loops long when z has one column
-        raw = np.empty((stop - start, len(years)), order="F")
-        np.multiply(z[:, k, :], spec.sigma.values, out=raw)
-        raw += spec.mean.values
-        lower, upper = spec.bounds
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        z = standard_normals(master_seed, start + lo, start + hi, n_slots)
+        raw = drivers[:, :, lo:hi]
+        np.multiply(z.reshape(hi - lo, len(specs), -1).transpose(1, 2, 0), sigma, out=raw)
+        raw += mean
         clamped += int(np.count_nonzero((raw < lower) | (raw > upper)))
-        drivers[spec.variable] = np.clip(raw, lower, upper, out=raw)
-    matrix = model.predict_grid(
-        years,
-        drivers["semis_twh"],
-        drivers["dc_twh"],
-        drivers["mix_factor"],
-        drivers["ai_share"],
-    )
+        np.clip(raw, lower, upper, out=raw)
+    by_name = {spec.variable: drivers[k].T for k, spec in enumerate(specs)}
+    matrix = model.predict_grid(years, *(by_name[v] for v in DRIVER_VARIABLES))
     pred_clamped = (
         int(np.count_nonzero(matrix == 0.0)) if model.kind is ModelKind.LINEAR_REGRESSION else 0
     )
@@ -290,8 +300,9 @@ class EnsembleResult:
     def to_csv_text(self) -> str:
         """One row per realization, one column per year."""
         lines = [",".join(str(y) for y in self.years)]
+        # one row of Python floats at a time keeps the conversion's memory small
         for row in self.matrix:
-            lines.append(",".join(repr(float(v)) for v in row))
+            lines.append(",".join(map(repr, row.tolist())))
         return "\n".join(lines) + "\n"
 
 

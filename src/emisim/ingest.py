@@ -121,11 +121,24 @@ def parse_series_csv_text(text: str, unit: Unit) -> AnnualSeries:
         raise SchemaError(2, 2, str(exc)) from None
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``. Bytes that are not UTF-8 end as a
+    one-line SchemaError that points at the first of them; a file that
+    cannot be read raises OSError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]
+        line = head.count(b"\n") + 1
+        column = exc.start - head.rfind(b"\n")
+        raise SchemaError(line, column, f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def read_json(path: str | Path, convert):
     """``convert`` applied to the JSON document in ``path``. Malformed JSON
     and content that ``convert`` rejects end as a one-line SchemaError; a
     file that cannot be read raises OSError."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         return convert(json.loads(text))
     except json.JSONDecodeError as exc:
@@ -152,7 +165,7 @@ def parse_driver_csv(path: str | Path) -> DriverTable:
     path = Path(path)
     if path.suffix.lower() == ".json":
         return read_json(path, _driver_table_from_json)
-    return parse_driver_csv_text(path.read_text(encoding="utf-8"))
+    return parse_driver_csv_text(read_text(path))
 
 
 def parse_series_csv(path: str | Path, unit: Unit) -> AnnualSeries:
@@ -160,7 +173,7 @@ def parse_series_csv(path: str | Path, unit: Unit) -> AnnualSeries:
     path = Path(path)
     if path.suffix.lower() == ".json":
         return read_json(path, lambda doc: _series_from_json(doc, unit))
-    return parse_series_csv_text(path.read_text(encoding="utf-8"), unit)
+    return parse_series_csv_text(read_text(path), unit)
 
 
 def _series_from_json(doc, unit: Unit) -> AnnualSeries:

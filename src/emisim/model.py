@@ -55,8 +55,12 @@ class ImpliedIntensityModel:
     def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
         """Vectorized prediction; driver arrays have years on the last axis."""
         kappa_row = np.array([self.kappa_at(int(y)) for y in years])
-        values = kappa_row * np.asarray(dc_twh) * np.asarray(ai_share) * np.asarray(mix_factor)
-        return np.maximum(values, 0.0)
+        # one output array, multiplied in place in the order kappa * dc * ai * mix,
+        # which fixes the bytes
+        values = np.multiply(dc_twh, kappa_row)
+        values *= ai_share
+        values *= mix_factor
+        return np.maximum(values, 0.0, out=values)
 
     def diagnostics(self) -> dict:
         values = self.kappa.values
@@ -93,14 +97,14 @@ class LinearRegressionModel:
 
     def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
         b0, b1, b2, b3, b4 = self.coefficients
-        values = (
-            b0
-            + b1 * np.asarray(semis_twh)
-            + b2 * np.asarray(dc_twh)
-            + b3 * np.asarray(mix_factor)
-            + b4 * np.asarray(ai_share)
-        )
-        return np.maximum(values, 0.0)
+        # one output array and one term buffer, summed left to right:
+        # b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai
+        values = np.multiply(semis_twh, b1)
+        values += b0
+        term = np.empty_like(values)
+        for x, b in ((dc_twh, b2), (mix_factor, b3), (ai_share, b4)):
+            values += np.multiply(x, b, out=term)
+        return np.maximum(values, 0.0, out=values)
 
     def diagnostics(self) -> dict:
         return {

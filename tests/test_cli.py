@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from emisim.cli import build_parser, main
+from emisim.ensemble import bands_from_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = SRC / "emisim" / "data"
@@ -313,6 +315,8 @@ _MALFORMED_JSON = '{"seed": 1,'
         ({"hw.json": '{"dc_twh": {"unit": "TWh"}}'}, ["--halfwidths", "hw.json"], 2),
         ({}, ["--workers", "0"], 1),
         ({}, ["--workers", "-3"], 1),
+        ({}, ["--percentiles", "150"], 2),
+        ({}, ["--percentiles", "abc"], 1),
     ],
 )
 def test_simulate_malformed_input_exit_codes(tmp_path, files, flags, code):
@@ -350,6 +354,28 @@ def test_malformed_json_input_exit_codes(tmp_path, command, name, text):
     _assert_clean_failure(_run_emisim(command, "--input", str(path)), 2)
 
 
+@pytest.mark.parametrize(
+    "command,name,data",
+    [
+        ("validate", "table.csv", b"year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt\n\xff\n"),
+        ("mean", "bundle.json", b'{"trajectories": "\xff"}'),
+        ("bands", "matrix.csv", b"2020,2021\n1.0,2.0\n3.0,\xff\n"),
+    ],
+    ids=["validate-csv", "mean-json", "bands-matrix"],
+)
+def test_non_utf8_input_exit_codes(tmp_path, command, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    proc = _run_emisim(command, "--input", str(path))
+    _assert_clean_failure(proc, 2)
+    assert "not UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "mean", "bands"])
+def test_missing_input_is_an_io_error(tmp_path, command):
+    _assert_clean_failure(_run_emisim(command, "--input", str(tmp_path / "nope.json")), 3)
+
+
 # ---------------------------------------------------------------------------
 # bands
 # ---------------------------------------------------------------------------
@@ -368,6 +394,60 @@ def test_bands_rejects_ragged_matrix(tmp_path, capsys):
     bad = tmp_path / "matrix.csv"
     bad.write_text("2020,2021\n1.0,2.0\n3.0\n")
     assert main(["bands", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag,code",
+    [("--percentiles=150", 2), ("--percentiles=-5,50", 2), ("--percentiles=95,5", 2),
+     ("--percentiles=5,5", 2), ("--percentiles=nan", 2), ("--percentiles=abc", 1)],
+)
+def test_bands_malformed_percentiles_exit_codes(tmp_path, flag, code):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("2020,2021\n1.0,2.0\n3.0,4.0\n")
+    out = tmp_path / "bands.csv"
+    _assert_clean_failure(_run_emisim("bands", "--input", str(matrix), flag, "--out", str(out)), code)
+    assert not out.exists()
+
+
+# Data lines of a matrix CSV and the rows they parse to; None means exit 2.
+# Python's float() took the last two (digit-group underscores, non-ASCII digits).
+_MATRIX_CELLS = [
+    (["1.5,2.5", "3,4"], [[1.5, 2.5], [3.0, 4.0]]),
+    ([" 1.5 ,\t2.5 ", "3 ,4\r"], [[1.5, 2.5], [3.0, 4.0]]),
+    (["nan,inf", "-inf,1e-3"], [[math.nan, math.inf], [-math.inf, 0.001]]),
+    (["1.5,2.5"], [[1.5, 2.5]]),
+    (["1.5,2.5", "", "3,4"], [[1.5, 2.5], [3.0, 4.0]]),
+    (["1.5,2.5", "3"], None),
+    (["1.5,", "3,4"], None),
+    (["1.5,2.5,", "3,4,"], None),
+    (["1.5,#2", "3,4"], None),
+    (["abc,2", "3,4"], None),
+    (["0x10,2", "3,4"], None),
+    (["1_0,2", "3,4"], None),
+    (["\u0661,2", "3,4"], None),
+]
+
+
+@pytest.mark.parametrize("lines,rows", _MATRIX_CELLS)
+def test_bands_matrix_parsing(tmp_path, capsys, lines, rows):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("\n".join(["2020,2021", *lines]) + "\n", newline="")
+    code = main(["bands", "--input", str(matrix), "--percentiles", "50"])
+    out, err = capsys.readouterr()
+    if rows is None:
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert code == 0
+        assert out == bands_from_matrix(np.array(rows), (2020, 2021), (50.0,)).to_csv_text()
+
+
+def test_bands_subcommand_single_column(tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("2030\n3.0\n1.0\n2.0\n")
+    out = tmp_path / "bands.csv"
+    assert main(["bands", "--input", str(matrix), "--out", str(out)]) == 0
+    assert out.read_text() == "year,mean,p5,p50,p95\n2030,2.0,1.1,2.0,2.9\n"
 
 
 # ---------------------------------------------------------------------------

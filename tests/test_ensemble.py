@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from emisim.core import (
     SimulationConfig,
     Unit,
 )
+from emisim import ensemble
 from emisim.ensemble import (
     EnsembleResult,
     bands,
@@ -266,6 +268,41 @@ def test_run_simulation_rows_match_sample_realization(table):
     for i in (0, 7, 19):
         r = sample_realization(specs, model, i, cfg.master_seed, cfg.correlation_mode)
         assert np.array_equal(np.array(r.emissions.values), result.matrix[i])
+
+
+@pytest.mark.parametrize("mode", list(CorrelationMode))
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_row_blocks_do_not_change_results(table, monkeypatch, mode, kind):
+    # draws are made in blocks of rows; blocks of 7 rows must give the bytes
+    # of one block, across block edges and for a ragged last block
+    n_slots = 4 * (len(table.years) if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 1)
+    step = 7
+    for n in (1, step - 1, step, step + 1, 2 * step + 3):
+        cfg = _config(realizations=n, correlation_mode=mode, model_kind=kind,
+                      halfwidths=_uniform_halfwidths(3.0))
+        whole = run_simulation(table, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(ensemble, "_BLOCK_ELEMS", step * max(n_slots, len(table.years)))
+            blocked = run_simulation(table, cfg)
+        assert blocked.matrix.tobytes() == whole.matrix.tobytes()
+        assert blocked.clamped_draws == whole.clamped_draws
+        assert blocked.clamped_predictions == whole.clamped_predictions
+    assert whole.clamped_draws > 0
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_run_simulation_peak_memory_is_bounded(table, kind):
+    # the four driver arrays plus the model's output (and one term buffer
+    # for the regression); the normals are drawn one block of rows at a time
+    cfg = SimulationConfig(realizations=50_000, master_seed=7, model_kind=kind,
+                           correlation_mode=CorrelationMode.INDEPENDENT_PER_YEAR)
+    tracemalloc.start()
+    try:
+        result = run_simulation(table, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * result.matrix.nbytes
 
 
 def test_single_deterministic_realization_is_observed_column(table):

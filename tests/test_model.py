@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emisim.core import DriverRow, DriverTable
+from emisim.core import DriverRow, DriverTable, ModelKind
 from emisim.errors import (
     DegenerateRowError,
     RankDeficientDesignError,
@@ -98,6 +98,29 @@ def test_predict_is_deterministic(table):
     r = _row(table, 2031)
     args = (2031, r.semis_twh, r.dc_twh, r.mix_factor, r.ai_share)
     assert _predict(model, *args) == _predict(model, *args)
+
+
+@pytest.mark.parametrize("fit", [fit_implied_intensity, fit_linear_regression])
+def test_predict_grid_keeps_inputs_and_accepts_lists(table, fit):
+    model = fit(table)
+    rng = np.random.default_rng(5)
+    means = np.array([table.column(v) for v in ("semis_twh", "dc_twh", "mix_factor", "ai_share")])
+    drivers = [np.asfortranarray(m * rng.uniform(0.0, 2.0, (40, len(table)))) for m in means]
+    before = [d.copy() for d in drivers]
+    got = model.predict_grid(table.years, *drivers)
+    assert all(np.array_equal(d, b) for d, b in zip(drivers, before))
+    # the grid computes in the order of the textbook formula, bit for bit
+    semis, dc, mix, ai = before
+    if model.kind is ModelKind.IMPLIED_INTENSITY:
+        kappa = np.array(model.kappa.values)
+        expected = np.maximum(kappa * dc * ai * mix, 0.0)
+    else:
+        b0, b1, b2, b3, b4 = model.coefficients
+        expected = np.maximum(b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai, 0.0)
+    assert got.tobytes() == expected.tobytes()
+    assert np.any(got == 0.0) == (model.kind is ModelKind.LINEAR_REGRESSION)
+    as_lists = model.predict_grid(table.years, *(d[3].tolist() for d in drivers))
+    assert as_lists.tobytes() == got[3].tobytes()
 
 
 def test_year_outside_fit(table):
