@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 usage, 2 validation failure, 3 I/O failure,
 4 numeric failure. All file writes are atomic (temp file + rename), so a
 failing run never leaves partial outputs behind.
 
-Configuration precedence for ``simulate``: command-line flags beat the
-``--config`` JSON file, which beats built-in defaults. ``EMISIM_SEED`` in
-the environment replaces the built-in default seed and is superseded by
-``--seed`` (and by a seed in the config file).
+The ``simulate --config`` JSON file has exactly the schema of the ``config``
+block of a run manifest, so ``simulate --input T --config <that block>``
+replays the run; an unknown key exits 2. Flags beat the file, the file beats
+``EMISIM_SEED`` in the environment, and that beats the built-in default seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,20 +26,16 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    AnnualSeries,
+    DRIVER_VARIABLES,
     CorrelationMode,
-    DriverTable,
     ModelKind,
     SimulationConfig,
-    Unit,
-    default_halfwidths,
     mean_scenario,
     validate_percentiles,
 )
 from .ensemble import RNG_STREAM, bands, bands_from_matrix, run_simulation
-from .errors import EXIT_IO, EXIT_OK, EXIT_USAGE, EmisimError, EmptyInputError, SchemaError
+from .errors import EXIT_IO, EXIT_OK, EXIT_USAGE, EmisimError, EmptyInputError
 from .ingest import (
-    ScenarioBundle,
     bundled_inference_table,
     cagr_project,
     doubling_project,
@@ -48,6 +43,7 @@ from .ingest import (
     inference_energy,
     load_bundle,
     parse_driver_csv,
+    parse_matrix_csv_text,
     read_json,
     read_text,
     series_to_csv_text,
@@ -55,10 +51,6 @@ from .ingest import (
 from .model import fit_model, model_to_json, predict_table
 
 _MODEL_NAMES = {"intensity": ModelKind.IMPLIED_INTENSITY, "regression": ModelKind.LINEAR_REGRESSION}
-_CORRELATION_NAMES = {
-    "per-variable": CorrelationMode.CORRELATED_PER_VARIABLE,
-    "per-year": CorrelationMode.INDEPENDENT_PER_YEAR,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,32 +77,9 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a simulate run byte-for-byte."""
-
-    tool_version: str
-    created_utc: str
-    config: dict
-    input_digests: dict
-    output_paths: list
-    duration_seconds: float
-    rng_stream: str
-    environment: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Input helpers
 # ---------------------------------------------------------------------------
-
-def _load_bundle_or_table(path: str) -> ScenarioBundle | DriverTable:
-    if Path(path).suffix.lower() == ".json":
-        return load_bundle(path)
-    return parse_driver_csv(path)
-
 
 def _positive_int(text: str) -> int:
     try:
@@ -135,67 +104,29 @@ def _json_object(doc) -> dict:
     return doc
 
 
-def _halfwidths_from_dict(doc) -> dict:
-    out = {}
-    for name, spec in _json_object(doc).items():
-        if isinstance(spec, dict):
-            unit = Unit(spec.get("unit", Unit.TWH.value))
-            out[name] = AnnualSeries(unit, tuple((int(y), float(v)) for y, v in spec["points"]))
-        else:
-            out[name] = float(spec)
-    return out
-
-
-def _config_values(doc) -> dict:
-    """Typed values of a ``--config`` document; other keys are ignored."""
-    types = {
-        "realizations": int,
-        "seed": int,
-        "ci_level": float,
-        "halfwidths": _halfwidths_from_dict,
-        "halfwidth_pct": float,
-        "percentiles": lambda ps: tuple(float(p) for p in ps),
-        "correlation": _CORRELATION_NAMES.__getitem__,
-        "model": _MODEL_NAMES.__getitem__,
-    }
-    return {key: types[key](value) for key, value in _json_object(doc).items() if key in types}
-
-
 def _resolve_simulation_config(args) -> SimulationConfig:
-    file_cfg = read_json(args.config, _config_values) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
+    """The ``--config`` document with every given flag laid over it, and
+    ``EMISIM_SEED`` as the seed if neither sets one."""
+    doc = read_json(args.config, _json_object) if args.config else {}
     if args.halfwidths:
-        halfwidths = read_json(args.halfwidths, _halfwidths_from_dict)
+        doc["halfwidths"] = read_json(args.halfwidths, _json_object)
     elif args.halfwidth_pct is not None:
-        halfwidths = {v: args.halfwidth_pct for v in default_halfwidths()}
-    elif "halfwidths" in file_cfg:
-        halfwidths = file_cfg["halfwidths"]
-    elif "halfwidth_pct" in file_cfg:
-        halfwidths = {v: file_cfg["halfwidth_pct"] for v in default_halfwidths()}
-    else:
-        halfwidths = default_halfwidths()
-
+        doc["halfwidths"] = dict.fromkeys(DRIVER_VARIABLES, args.halfwidth_pct)
+    flags = {
+        "realizations": args.realizations,
+        "master_seed": args.seed,
+        "ci_level": args.ci_level,
+        "correlation_mode": args.correlation,
+        "percentiles": args.percentiles,
+        "model_kind": args.model and _MODEL_NAMES[args.model],
+    }
+    doc.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        seed = pick(args.seed, "seed", None)
-        if seed is None:
-            seed = int(os.environ.get("EMISIM_SEED", "0"))
-        return SimulationConfig(
-            realizations=pick(args.realizations, "realizations", 10_000),
-            master_seed=seed,
-            ci_level=pick(args.ci_level, "ci_level", 0.99),
-            halfwidths=halfwidths,
-            correlation_mode=pick(_CORRELATION_NAMES.get(args.correlation), "correlation",
-                                  CorrelationMode.CORRELATED_PER_VARIABLE),
-            percentiles=pick(args.percentiles, "percentiles", (5.0, 50.0, 95.0)),
-            model_kind=pick(_MODEL_NAMES.get(args.model), "model", ModelKind.IMPLIED_INTENSITY),
-        )
+        if "master_seed" not in doc and "EMISIM_SEED" in os.environ:
+            doc["master_seed"] = int(os.environ["EMISIM_SEED"])
+        return SimulationConfig.from_dict(doc)
     except ValueError as exc:
-        raise EmisimError(f"bad configuration: {exc}") from exc
+        raise EmisimError(f"bad configuration: {exc}") from None
 
 
 def _emit(args, text: str, json_doc=None) -> None:
@@ -220,8 +151,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_emissions(args) -> int:
-    source = _load_bundle_or_table(args.input)
-    if isinstance(source, DriverTable):
+    is_bundle = Path(args.input).suffix.lower() == ".json"
+    source = load_bundle(args.input) if is_bundle else parse_driver_csv(args.input)
+    if not is_bundle:
         model = fit_model(source, _MODEL_NAMES[args.model or "intensity"])
         points = list(zip(source.years, predict_table(model, source).tolist()))
         lines = ["year,mean"]
@@ -281,22 +213,21 @@ def cmd_simulate(args) -> int:
         outputs.append(str(args.matrix_out))
 
     if out_path:
-        digests = {str(args.input): _sha256_file(Path(args.input))}
-        if args.config:
-            digests[str(args.config)] = _sha256_file(Path(args.config))
-        if args.halfwidths:
-            digests[str(args.halfwidths)] = _sha256_file(Path(args.halfwidths))
-        manifest = RunManifest(
-            tool_version=__version__,
-            created_utc=datetime.now(timezone.utc).isoformat(),
-            config=config.to_dict(),
-            input_digests=digests,
-            output_paths=outputs,
-            duration_seconds=time.perf_counter() - started,
-            rng_stream=RNG_STREAM,
-            environment={"python": platform.python_version(), "numpy": np.__version__},
-        )
-        write_text_atomic(out_path.with_name(out_path.name + ".manifest.json"), manifest.to_json())
+        inputs = (args.input, args.config, args.halfwidths)
+        digests = {str(path): _sha256_file(Path(path)) for path in inputs if path}
+        # everything needed to reproduce the run byte for byte
+        manifest = {
+            "tool_version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "config": config.to_dict(),
+            "input_digests": digests,
+            "output_paths": outputs,
+            "duration_seconds": time.perf_counter() - started,
+            "rng_stream": RNG_STREAM,
+            "environment": {"python": platform.python_version(), "numpy": np.__version__},
+        }
+        write_text_atomic(out_path.with_name(out_path.name + ".manifest.json"),
+                          json.dumps(manifest, indent=2) + "\n")
         print(
             f"simulated {config.realizations} realizations over "
             f"{len(result.years)} years (clamped draws: {result.clamped_draws}); "
@@ -307,19 +238,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_bands(args) -> int:
     try:
-        percentiles = validate_percentiles(args.percentiles or (5.0, 50.0, 95.0))
+        percentiles = validate_percentiles(args.percentiles or SimulationConfig.percentiles)
     except ValueError as exc:
         raise EmisimError(f"bad percentiles: {exc}") from None
-    lines = [ln for ln in read_text(args.input).splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise SchemaError(1, 1, "no data rows")
-    try:
-        years = tuple(int(c) for c in lines[0].split(","))
-        matrix = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise SchemaError(1, 1, f"bad ensemble matrix: {exc}") from None
-    if matrix.shape[1] != len(years):
-        raise SchemaError(1, 1, "ragged ensemble matrix")
+    years, matrix = parse_matrix_csv_text(read_text(args.input))
     band = bands_from_matrix(matrix, years, percentiles)
     _emit(args, band.to_csv_text(), band.to_dict())
     return EXIT_OK
@@ -388,7 +310,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run the Monte Carlo ensemble and write bands")
     p.add_argument("--input", required=True, help="driver CSV (or JSON) path")
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
+    p.add_argument("--config", help="JSON file shaped like a manifest's config block; flags beat it")
     p.add_argument("--model", choices=sorted(_MODEL_NAMES), help="model kind (default intensity)")
     p.add_argument("--realizations", type=int, help="ensemble size (default 10000)")
     p.add_argument("--seed", type=int, help="64-bit master seed (default EMISIM_SEED or 0)")
@@ -396,7 +318,7 @@ def build_parser() -> _Parser:
     p.add_argument("--halfwidth-pct", type=float, dest="halfwidth_pct",
                    help="halfwidth for every variable, as fraction of its mean (default 0.10)")
     p.add_argument("--halfwidths", help="JSON file of per-variable halfwidths")
-    p.add_argument("--correlation", choices=sorted(_CORRELATION_NAMES),
+    p.add_argument("--correlation", choices=[mode.value for mode in CorrelationMode],
                    help="sampling mode (default per-variable)")
     p.add_argument("--percentiles", type=_parse_percentiles,
                    help="comma-separated percentiles (default 5,50,95)")

@@ -9,7 +9,7 @@ alignment, driver-table validation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -180,8 +180,16 @@ HalfwidthSpec = Union[float, AnnualSeries]
 DEFAULT_HALFWIDTH_FRACTION = 0.10
 
 
-def default_halfwidths() -> dict[str, float]:
-    return {v: DEFAULT_HALFWIDTH_FRACTION for v in DRIVER_VARIABLES}
+def _halfwidth_to_dict(spec: HalfwidthSpec):
+    if isinstance(spec, AnnualSeries):
+        return {"unit": spec.unit.value, "points": [list(p) for p in spec.points]}
+    return float(spec)
+
+
+def _halfwidth_from_dict(spec) -> HalfwidthSpec:
+    if isinstance(spec, Mapping):
+        return AnnualSeries(Unit(spec.get("unit", Unit.TWH.value)), tuple(spec["points"]))
+    return float(spec)
 
 
 def validate_percentiles(percentiles) -> tuple[float, ...]:
@@ -207,7 +215,9 @@ class SimulationConfig:
     realizations: int = 10_000
     master_seed: int = 0
     ci_level: float = 0.99
-    halfwidths: Mapping[str, HalfwidthSpec] = field(default_factory=default_halfwidths)
+    halfwidths: Mapping[str, HalfwidthSpec] = field(
+        default_factory=lambda: dict.fromkeys(DRIVER_VARIABLES, DEFAULT_HALFWIDTH_FRACTION)
+    )
     correlation_mode: CorrelationMode = CorrelationMode.CORRELATED_PER_VARIABLE
     percentiles: tuple[float, ...] = (5.0, 50.0, 95.0)
     model_kind: ModelKind = ModelKind.IMPLIED_INTENSITY
@@ -224,19 +234,36 @@ class SimulationConfig:
             if isinstance(spec, (int, float)) and not (math.isfinite(spec) and spec >= 0):
                 raise ValueError(f"halfwidth fraction for {name} must be finite and >= 0, got {spec}")
 
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "SimulationConfig":
+        """Inverse of :meth:`to_dict`. Absent keys keep their defaults, and a
+        halfwidth series may leave out its unit (TWh). Unknown keys, a
+        ``realizations`` or ``master_seed`` that is not an integer, and any
+        other malformed value raise ValueError."""
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+        for key in ("realizations", "master_seed"):
+            if key in doc and type(doc[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+        convert = {
+            "ci_level": float,
+            "halfwidths": lambda hw: {name: _halfwidth_from_dict(spec) for name, spec in hw.items()},
+            "correlation_mode": CorrelationMode,
+            "model_kind": ModelKind,
+        }
+        try:
+            return cls(**{key: convert.get(key, lambda v: v)(value) for key, value in doc.items()})
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{type(exc).__name__}: {exc}") from None
+
     def to_dict(self) -> dict:
         """JSON-ready snapshot (used by run manifests)."""
-        hw = {}
-        for name, spec in self.halfwidths.items():
-            if isinstance(spec, AnnualSeries):
-                hw[name] = {"unit": spec.unit.value, "points": [list(p) for p in spec.points]}
-            else:
-                hw[name] = float(spec)
         return {
             "realizations": self.realizations,
             "master_seed": self.master_seed,
             "ci_level": self.ci_level,
-            "halfwidths": hw,
+            "halfwidths": {name: _halfwidth_to_dict(spec) for name, spec in self.halfwidths.items()},
             "correlation_mode": self.correlation_mode.value,
             "percentiles": list(self.percentiles),
             "model_kind": self.model_kind.value,

@@ -44,6 +44,7 @@ from .core import (
 from .errors import (
     EmptyEnsembleError,
     EmptyInputError,
+    HalfwidthTooWideError,
     InvalidLevelError,
     MissingHalfwidthError,
 )
@@ -197,10 +198,11 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> list[Pe
                 raise MissingHalfwidthError(f"halfwidth series for {name} missing {exc}") from None
         else:
             halfwidths = [float(spec) * m for m in mean.values]
+        sigmas = [hw / z if hw else 0.0 for hw in halfwidths]
+        if name in FRACTION_VARIABLES and max(sigmas) > 1.0:
+            raise HalfwidthTooWideError(f"{name} halfwidth gives sigma {max(sigmas):.6g} > 1")
         sigma_unit = Unit.FRACTION if name in FRACTION_VARIABLES else Unit.TWH
-        sigma = AnnualSeries(
-            sigma_unit, tuple((y, hw / z if hw else 0.0) for y, hw in zip(years, halfwidths))
-        )
+        sigma = AnnualSeries(sigma_unit, tuple(zip(years, sigmas)))
         bounds = (0.0, 1.0) if name in FRACTION_VARIABLES else (0.0, math.inf)
         specs.append(PerturbationSpec(name, mean, sigma, bounds))
     return specs

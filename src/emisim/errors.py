@@ -74,6 +74,10 @@ class MissingHalfwidthError(EmisimError):
     """No halfwidth configured for a driver variable."""
 
 
+class HalfwidthTooWideError(EmisimError):
+    """A halfwidth gives a fraction variable a sigma above its [0, 1] range."""
+
+
 class EmptyEnsembleError(EmisimError):
     """Percentile bands requested from an empty ensemble."""
 

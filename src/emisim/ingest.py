@@ -6,6 +6,7 @@ File formats (UTF-8, LF, decimal point, no thousands separators):
 * driver CSV: header ``year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt``
 * bundle JSON: ``{"trajectories": [{"name", "family", "unit", "points",
   "provenance"}, ...]}``
+* matrix CSV: a header of years, then one row per realization
 
 JSON files with the same keys are accepted wherever a CSV is, dispatched on
 the ``.json`` extension.
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .core import (
     AnnualSeries,
@@ -70,30 +73,40 @@ def _parse_float(cell: str, line: int, column: int, what: str) -> float:
     return value
 
 
-def _check_header(row: Sequence[str], expected: Sequence[str]) -> None:
+def _check_header(line: int, row: Sequence[str], expected: Sequence[str]) -> None:
     got = [cell.strip() for cell in row]
     if got != list(expected):
         for i, (g, e) in enumerate(zip(got, expected), start=1):
             if g != e:
-                raise SchemaError(1, i, f"expected header {e!r}, got {g!r}")
-        raise SchemaError(1, len(expected), f"expected {len(expected)} columns, got {len(got)}")
+                raise SchemaError(line, i, f"expected header {e!r}, got {g!r}")
+        raise SchemaError(line, len(expected), f"expected {len(expected)} columns, got {len(got)}")
+
+
+def _data_rows(text: str, header: Sequence[str]):
+    """Yield ``(file line, stripped cells)`` for each data row of the CSV
+    ``text`` whose first non-blank row must be ``header``. Blank rows are
+    skipped but counted, so the line numbers are the file's. A row with
+    another cell count, or no data row at all, raises SchemaError."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise SchemaError(1, 1, "no data rows")
+    (header_line, first), rows = rows[0], rows[1:]
+    _check_header(header_line, first, header)
+    if not rows:
+        raise SchemaError(header_line + 1, 1, "no data rows")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise SchemaError(line, len(row), f"expected {len(header)} cells, got {len(row)}")
+        yield line, [cell.strip() for cell in row]
 
 
 def parse_driver_csv_text(text: str) -> DriverTable:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
-    if not rows:
-        raise SchemaError(1, 1, "no data rows")
-    _check_header(rows[0], DRIVER_HEADER)
-    if len(rows) == 1:
-        raise SchemaError(2, 1, "no data rows")
     out = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(DRIVER_HEADER):
-            raise SchemaError(line_no, len(row), f"expected {len(DRIVER_HEADER)} cells, got {len(row)}")
-        year = _parse_int(row[0].strip(), line_no, 1, "year")
+    for line, row in _data_rows(text, DRIVER_HEADER):
+        year = _parse_int(row[0], line, 1, "year")
         values = [
-            _parse_float(row[i].strip(), line_no, i + 1, DRIVER_HEADER[i])
+            _parse_float(row[i], line, i + 1, DRIVER_HEADER[i])
             for i in range(1, len(DRIVER_HEADER))
         ]
         out.append(DriverRow(year, *values))
@@ -101,24 +114,58 @@ def parse_driver_csv_text(text: str) -> DriverTable:
 
 
 def parse_series_csv_text(text: str, unit: Unit) -> AnnualSeries:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
-    if not rows:
-        raise SchemaError(1, 1, "no data rows")
-    _check_header(rows[0], SERIES_HEADER)
-    if len(rows) == 1:
-        raise SchemaError(2, 1, "no data rows")
     points = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise SchemaError(line_no, len(row), f"expected 2 cells, got {len(row)}")
-        year = _parse_int(row[0].strip(), line_no, 1, "year")
-        value = _parse_float(row[1].strip(), line_no, 2, "value")
-        points.append((year, value))
+    for line, row in _data_rows(text, SERIES_HEADER):
+        points.append((_parse_int(row[0], line, 1, "year"), _parse_float(row[1], line, 2, "value")))
+        try:
+            # every series check compares a point with its predecessor at most
+            AnnualSeries(unit, tuple(points[-2:]))
+        except ValueError as exc:
+            raise SchemaError(line, 2, str(exc)) from None
+    return AnnualSeries(unit, tuple(points))
+
+
+def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """Years and realization rows of a matrix CSV: a header of years, then
+    one row of numbers per realization; blank lines are skipped."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
-        return AnnualSeries(unit, tuple(points))
-    except ValueError as exc:
-        raise SchemaError(2, 2, str(exc)) from None
+        years = tuple(int(c) for c in lines[0].split(","))
+        if len(lines) > 1 and (matrix := _loadtxt(lines[1:])).shape[1] == len(years):
+            return years, matrix
+    except (IndexError, ValueError):
+        pass
+    _raise_matrix_error(text)
+
+
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _raise_matrix_error(text: str) -> NoReturn:
+    """Raise the SchemaError, at its file line and column, of the first bad
+    line of a matrix CSV that :func:`parse_matrix_csv_text` rejected."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if len(rows) < 2:
+        raise SchemaError(rows[0][0] + 1 if rows else 1, 1, "no data rows")
+    (line, header), rows = rows[0], rows[1:]
+    width = len([_parse_int(c.strip(), line, i, "year") for i, c in enumerate(header.split(","), 1)])
+
+    def parses(lines, n_cells):
+        try:
+            return _loadtxt(lines).shape[1] == n_cells
+        except ValueError:
+            return False
+
+    lo, hi = 0, len(rows)  # bisect: rows before lo parse, rows[lo:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if parses([ln for _, ln in rows[lo:mid]], width) else (lo, mid)
+    line, cells = rows[lo][0], rows[lo][1].split(",")
+    if len(cells) != width:
+        raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
+    column = next(i for i, cell in enumerate(cells, 1) if not (cell.strip() and parses([cell], 1)))
+    raise SchemaError(line, column, f"{cells[column - 1].strip()!r} is not a number")
 
 
 def read_text(path: str | Path) -> str:
@@ -324,16 +371,10 @@ def inference_table_to_csv_text(table: InferenceEnergyTable) -> str:
 
 
 def parse_inference_table_text(text: str) -> InferenceEnergyTable:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
-    if not rows:
-        raise SchemaError(1, 1, "no data rows")
-    _check_header(rows[0], ("task", "energy_wh"))
-    energies = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise SchemaError(line_no, len(row), f"expected 2 cells, got {len(row)}")
-        energies[_coerce_task(row[0].strip())] = _parse_float(row[1].strip(), line_no, 2, "energy_wh")
+    energies = {
+        _coerce_task(row[0]): _parse_float(row[1], line, 2, "energy_wh")
+        for line, row in _data_rows(text, ("task", "energy_wh"))
+    }
     return InferenceEnergyTable(energies)
 
 

@@ -213,7 +213,11 @@ def test_simulate_env_seed(tmp_path, monkeypatch):
 
 def test_simulate_config_file_precedence(tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"realizations": 60, "seed": 7, "halfwidth_pct": 0.05}))
+    cfg.write_text(json.dumps({
+        "realizations": 60,
+        "master_seed": 7,
+        "halfwidths": dict.fromkeys(["semis_twh", "dc_twh", "mix_factor", "ai_share"], 0.05),
+    }))
     out = tmp_path / "bands.csv"
     assert main(["simulate", "--input", TABLE, "--config", str(cfg),
                  "--realizations", "20", "--out", str(out)]) == 0
@@ -221,6 +225,62 @@ def test_simulate_config_file_precedence(tmp_path):
     assert manifest["config"]["realizations"] == 20  # flag beats file
     assert manifest["config"]["master_seed"] == 7    # file beats default
     assert manifest["config"]["halfwidths"]["ai_share"] == 0.05
+
+
+def test_simulate_config_file_beats_env_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("EMISIM_SEED", "1")
+    cfg = tmp_path / "config.json"
+    for name, doc, seed in (("a.csv", {"realizations": 20, "master_seed": 7}, 7),
+                            ("b.csv", {"realizations": 20}, 1)):
+        cfg.write_text(json.dumps(doc))
+        argv = ["simulate", "--input", TABLE, "--config", str(cfg), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["config"]["master_seed"] == seed
+
+
+_DC_SERIES = {"unit": "TWh", "points": [[y, 40.0] for y in range(2020, 2036)]}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--correlation", "per-year", "--model", "regression", "--ci-level", "0.95",
+         "--percentiles", "10,50,90"],
+    ],
+    ids=["per-variable-intensity", "per-year-regression-series"],
+)
+def test_simulate_manifest_config_replays_run(tmp_path, flags):
+    hw = tmp_path / "halfwidths.json"
+    hw.write_text(json.dumps(
+        {"semis_twh": 0.2, "dc_twh": _DC_SERIES, "mix_factor": 0.1, "ai_share": 0.3}
+    ))
+    if flags:
+        flags = flags + ["--halfwidths", str(hw)]
+    first = _simulate(tmp_path, "first.csv", "--realizations", "300", *flags)
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(manifest["config"]))
+    replay = tmp_path / "replay.csv"
+    assert main(["simulate", "--input", TABLE, "--config", str(cfg), "--out", str(replay)]) == 0
+    assert _sha256(replay) == _sha256(first)
+    replayed = json.loads((tmp_path / "replay.csv.manifest.json").read_text())
+    assert replayed["config"] == manifest["config"]
+
+
+@pytest.mark.parametrize(
+    "doc,named",
+    [({"realisations": 5}, "'realisations'"), ({"master_seed": "x"}, "master_seed"),
+     ({"seed": 7}, "'seed'"), ({"halfwidth_pct": 0.05}, "'halfwidth_pct'")],
+)
+def test_simulate_config_rejects_unknown_and_non_integer_keys(tmp_path, doc, named):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    proc = _run_emisim("simulate", "--input", TABLE, "--config", str(cfg))
+    _assert_clean_failure(proc, 2)
+    assert named in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_simulate_halfwidths_file(tmp_path):
@@ -317,6 +377,7 @@ _MALFORMED_JSON = '{"seed": 1,'
         ({}, ["--workers", "-3"], 1),
         ({}, ["--percentiles", "150"], 2),
         ({}, ["--percentiles", "abc"], 1),
+        ({}, ["--halfwidth-pct", "30"], 2),
     ],
 )
 def test_simulate_malformed_input_exit_codes(tmp_path, files, flags, code):
@@ -440,6 +501,15 @@ def test_bands_matrix_parsing(tmp_path, capsys, lines, rows):
     else:
         assert code == 0
         assert out == bands_from_matrix(np.array(rows), (2020, 2021), (50.0,)).to_csv_text()
+
+
+def test_bands_reports_file_line_and_column(tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("2020,2021\n1.0,2.0\n\n3.0,x\n5.0,6.0\n")
+    proc = _run_emisim("bands", "--input", str(matrix))
+    _assert_clean_failure(proc, 2)
+    assert "line 4, column 2" in proc.stderr
+    assert "usecols" not in proc.stderr and "row" not in proc.stderr
 
 
 def test_bands_subcommand_single_column(tmp_path):

@@ -1,14 +1,20 @@
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emisim.core import (
     SCENARIO_ALIGNMENT,
     AlignmentGroup,
+    DRIVER_VARIABLES,
     AnnualSeries,
+    CorrelationMode,
     DriverRow,
     DriverTable,
+    ModelKind,
     ScenarioFamily,
     ScenarioTrajectory,
     SimulationConfig,
@@ -265,3 +271,60 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SimulationConfig(**kwargs)
+
+
+_finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_halfwidth_series = st.builds(
+    lambda unit, start, values: AnnualSeries(unit, tuple(enumerate(values, start=start))),
+    st.sampled_from([Unit.TWH, Unit.FRACTION]),
+    st.integers(1900, 2100),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+)
+_configs = st.builds(
+    SimulationConfig,
+    realizations=st.integers(1, 10**9),
+    master_seed=st.integers(0, 2**64 - 1),
+    ci_level=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    halfwidths=st.fixed_dictionaries(
+        {v: st.one_of(_finite, _halfwidth_series) for v in DRIVER_VARIABLES}
+    ),
+    correlation_mode=st.sampled_from(CorrelationMode),
+    percentiles=st.lists(
+        st.floats(min_value=0.0, max_value=100.0, exclude_min=True, exclude_max=True),
+        min_size=1, max_size=5, unique=True,
+    ).map(sorted).map(tuple),
+    model_kind=st.sampled_from(ModelKind),
+)
+
+
+@given(_configs)
+def test_config_json_round_trip(cfg):
+    assert SimulationConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_config_from_dict_defaults_and_series_unit():
+    assert SimulationConfig.from_dict({}) == SimulationConfig()
+    cfg = SimulationConfig.from_dict({"halfwidths": {"dc_twh": {"points": [[2020, 40]]}}})
+    assert cfg.halfwidths == {"dc_twh": AnnualSeries(Unit.TWH, ((2020, 40.0),))}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"realisations": 5}, "'realisations'"),
+        ({"seed": 1, "model": "regression"}, "'model', 'seed'"),
+        ({"realizations": 5.0}, "realizations must be an integer"),
+        ({"realizations": True}, "realizations must be an integer"),
+        ({"master_seed": "x"}, "master_seed must be an integer"),
+        ({"correlation_mode": "per-decade"}, "CorrelationMode"),
+        ({"model_kind": "intensity"}, "ModelKind"),
+        ({"halfwidths": 0.1}, "AttributeError"),
+        ({"halfwidths": {"dc_twh": {"unit": "TWh"}}}, "KeyError"),
+        ({"halfwidths": {"dc_twh": {"unit": "parsec", "points": []}}}, "Unit"),
+        ({"percentiles": 50}, "TypeError"),
+        ({"ci_level": None}, "TypeError"),
+    ],
+)
+def test_config_from_dict_rejects(doc, message):
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig.from_dict(doc)

@@ -31,6 +31,7 @@ from emisim.ensemble import (
 from emisim.errors import (
     EmptyEnsembleError,
     EmptyInputError,
+    HalfwidthTooWideError,
     InvalidLevelError,
     MissingHalfwidthError,
 )
@@ -147,6 +148,19 @@ def test_build_perturbations_series_must_cover_years(table):
     hw = dict(_uniform_halfwidths(0.1))
     hw["dc_twh"] = AnnualSeries(Unit.TWH, ((2020, 50.0),))
     with pytest.raises(MissingHalfwidthError):
+        build_perturbations(table, _config(halfwidths=hw))
+
+
+def test_build_perturbations_rejects_fraction_sigma_above_one(table):
+    # ai_share peaks at 0.73 in 2030: 4 x 0.73 / z(0.99) = 1.13, while 3x stays under 1
+    build_perturbations(table, _config(halfwidths=_uniform_halfwidths(3.0)))
+    with pytest.raises(HalfwidthTooWideError, match="ai_share"):
+        build_perturbations(table, _config(halfwidths=_uniform_halfwidths(4.0)))
+    hw = dict(_uniform_halfwidths(0.1))
+    hw["mix_factor"] = AnnualSeries(Unit.FRACTION, tuple((y, 1.0) for y in table.years))
+    build_perturbations(table, _config(halfwidths=hw))
+    hw["mix_factor"] = AnnualSeries(Unit.TWH, tuple((y, 3.0) for y in table.years))
+    with pytest.raises(HalfwidthTooWideError, match="mix_factor"):
         build_perturbations(table, _config(halfwidths=hw))
 
 

@@ -26,6 +26,8 @@ from emisim.ingest import (
     inference_table_to_csv_text,
     parse_driver_csv,
     parse_driver_csv_text,
+    parse_inference_table_text,
+    parse_matrix_csv_text,
     parse_series_csv,
     parse_series_csv_text,
     series_to_csv_text,
@@ -92,6 +94,46 @@ def test_series_csv_parse_and_errors():
     with pytest.raises(SchemaError) as exc:
         parse_series_csv_text("year,val\n2020,1\n", Unit.TWH)
     assert exc.value.line == 1 and exc.value.column == 2
+
+
+@pytest.mark.parametrize(
+    "parse,text,line,column",
+    [
+        (parse_driver_csv_text,
+         "\n" + DRIVER_HEADER + "\n2020,91,269,0.62,0.02,1.03\n\n\n2021,101,abc,0.59,0.03,2.07\n",
+         6, 3),
+        (parse_driver_csv_text, "\n\n" + DRIVER_HEADER + "\n\n", 4, 1),
+        (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,91,269\n", 3, 3),
+        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n\n2020,1\n\n2021,x\n", 5, 2),
+        (lambda text: parse_series_csv_text(text, Unit.TWH), "\nyear,val\n2020,1\n", 2, 2),
+        (lambda text: parse_series_csv_text(text, Unit.TWH), "\n\nyear,value\n2021,1\n2020,2\n", 5, 2),
+        (lambda text: parse_series_csv_text(text, Unit.FRACTION), "year,value\n\n2020,1.5\n", 3, 2),
+        (parse_inference_table_text,
+         "task,energy_wh\n\ntext_generation,47\n\n\nsummarization,-\n", 6, 2),
+        (parse_inference_table_text, "task,energy_wh\n\n", 2, 1),
+        (parse_matrix_csv_text, "2020,2021\n1,2\n\n3,x\n", 4, 2),
+        (parse_matrix_csv_text, "\n2020,2021\n1,2\n\n3\n4,5\n", 5, 1),
+        (parse_matrix_csv_text, "\n2020,20x1\n1,2\n", 2, 2),
+        (parse_matrix_csv_text, "\n2020,2021\n\n", 3, 1),
+    ],
+)
+def test_parse_errors_count_blank_lines(parse, text, line, column):
+    with pytest.raises(SchemaError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_matrix_csv_bad_line_found_in_a_long_file():
+    rows = [f"{i},{i + 0.5}" for i in range(1000)]
+    for bad in (0, 1, 499, 500, 998, 999):
+        lines = list(rows)
+        lines[bad] = "1.0,1_0"
+        with pytest.raises(SchemaError) as exc:
+            parse_matrix_csv_text("2020,2021\n" + "\n".join(lines) + "\n")
+        assert (exc.value.line, exc.value.column) == (bad + 2, 2)
+    years, matrix = parse_matrix_csv_text("2020,2021\n\n" + "\n".join(rows) + "\n")
+    assert years == (2020, 2021)
+    assert matrix.shape == (1000, 2) and matrix[999, 1] == 999.5
 
 
 def test_driver_json_alternative(tmp_path):
