@@ -1,8 +1,11 @@
 """Command-line pipeline: validate, fit, project, simulate, and band export.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 I/O failure,
-4 numeric failure. All file writes are atomic (temp file + rename), so a
-failing run never leaves partial outputs behind.
+4 numeric failure. :func:`main` alone turns a failure into an exit code and
+one stderr line: an ``EmisimError`` ends with its own ``exit_code``, a
+``ValueError`` with 2, an ``ArithmeticError`` with 4, an ``OSError`` with 3.
+All file writes are atomic (temp file + rename), so a failing run never
+leaves partial outputs behind.
 
 The ``simulate --config`` JSON file has exactly the schema of the ``config``
 block of a run manifest, so ``simulate --input T --config <that block>``
@@ -30,14 +33,16 @@ from .core import (
     CorrelationMode,
     ModelKind,
     SimulationConfig,
+    converted,
     mean_scenario,
     validate_percentiles,
 )
 from .ensemble import RNG_STREAM, bands, bands_from_matrix, run_simulation
-from .errors import EXIT_IO, EXIT_OK, EXIT_USAGE, EmisimError, EmptyInputError
+from .errors import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EmisimError
 from .ingest import (
     bundled_inference_table,
     cagr_project,
+    csv_text,
     doubling_project,
     equivalent_homes,
     inference_energy,
@@ -109,7 +114,9 @@ def _resolve_simulation_config(args) -> SimulationConfig:
     ``EMISIM_SEED`` as the seed if neither sets one."""
     doc = read_json(args.config, _json_object) if args.config else {}
     if args.halfwidths:
-        doc["halfwidths"] = read_json(args.halfwidths, _json_object)
+        # converted while read, so that a bad halfwidth names the file
+        doc["halfwidths"] = read_json(args.halfwidths, lambda hw: SimulationConfig.from_dict(
+            {"halfwidths": hw}).to_dict()["halfwidths"])
     elif args.halfwidth_pct is not None:
         doc["halfwidths"] = dict.fromkeys(DRIVER_VARIABLES, args.halfwidth_pct)
     flags = {
@@ -121,12 +128,9 @@ def _resolve_simulation_config(args) -> SimulationConfig:
         "model_kind": args.model and _MODEL_NAMES[args.model],
     }
     doc.update((key, value) for key, value in flags.items() if value is not None)
-    try:
-        if "master_seed" not in doc and "EMISIM_SEED" in os.environ:
-            doc["master_seed"] = int(os.environ["EMISIM_SEED"])
-        return SimulationConfig.from_dict(doc)
-    except ValueError as exc:
-        raise EmisimError(f"bad configuration: {exc}") from None
+    if "master_seed" not in doc and "EMISIM_SEED" in os.environ:
+        doc["master_seed"] = converted("EMISIM_SEED", int, os.environ["EMISIM_SEED"])
+    return SimulationConfig.from_dict(doc)
 
 
 def _emit(args, text: str, json_doc=None) -> None:
@@ -145,8 +149,7 @@ def _emit(args, text: str, json_doc=None) -> None:
 
 def cmd_validate(args) -> int:
     table = parse_driver_csv(args.input)
-    years = table.years
-    print(f"OK: {len(table)} rows, years {years[0]}-{years[-1]}")
+    print(f"OK: {len(table)} rows, years {table.years[0]}-{table.years[-1]}")
     return EXIT_OK
 
 
@@ -156,35 +159,24 @@ def cmd_emissions(args) -> int:
     if not is_bundle:
         model = fit_model(source, _MODEL_NAMES[args.model or "intensity"])
         points = list(zip(source.years, predict_table(model, source).tolist()))
-        lines = ["year,mean"]
-        lines += [f"{y},{v!r}" for y, v in points]
-        doc = {"mean": {str(y): v for y, v in points}}
-        _emit(args, "\n".join(lines) + "\n", doc)
+        text = csv_text(("year", "mean"), ((str(y), repr(v)) for y, v in points))
+        _emit(args, text, {"mean": {str(y): v for y, v in points}})
         return EXIT_OK
     trajectories = list(source.trajectories)
-    if not trajectories:
-        raise EmptyInputError("bundle holds no trajectories")
     mean = mean_scenario(trajectories)
-    names = [t.name for t in trajectories]
-    lines = [",".join(["year"] + names + ["mean"])]
-    for year in mean.years:
-        cells = [str(year)]
-        cells += [repr(t.series.value_at(year)) for t in trajectories]
-        cells.append(repr(mean.value_at(year)))
-        lines.append(",".join(cells))
+    series = [t.series for t in trajectories] + [mean]
+    header = ["year"] + [t.name for t in trajectories] + ["mean"]
+    rows = ([str(y)] + [repr(s.value_at(y)) for s in series] for y in mean.years)
     doc = {
         "scenarios": {t.name: {str(y): v for y, v in t.series.points} for t in trajectories},
         "mean": {str(y): v for y, v in mean.points},
     }
-    _emit(args, "\n".join(lines) + "\n", doc)
+    _emit(args, csv_text(header, rows), doc)
     return EXIT_OK
 
 
 def cmd_mean(args) -> int:
-    bundle = load_bundle(args.input)
-    if not bundle.trajectories:
-        raise EmptyInputError("bundle holds no trajectories")
-    mean = mean_scenario(list(bundle.trajectories))
+    mean = mean_scenario(list(load_bundle(args.input).trajectories))
     doc = {"unit": mean.unit.value, "points": [list(p) for p in mean.points]}
     _emit(args, series_to_csv_text(mean), doc)
     return EXIT_OK
@@ -237,10 +229,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    try:
-        percentiles = validate_percentiles(args.percentiles or SimulationConfig.percentiles)
-    except ValueError as exc:
-        raise EmisimError(f"bad percentiles: {exc}") from None
+    percentiles = validate_percentiles(args.percentiles or SimulationConfig.percentiles)
     years, matrix = parse_matrix_csv_text(read_text(args.input))
     band = bands_from_matrix(matrix, years, percentiles)
     _emit(args, band.to_csv_text(), band.to_dict())
@@ -363,9 +352,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EmisimError as exc:
+    except (EmisimError, ValueError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        if isinstance(exc, EmisimError):
+            return exc.exit_code
+        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_NUMERIC
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -192,9 +192,21 @@ def _halfwidth_from_dict(spec) -> HalfwidthSpec:
     return float(spec)
 
 
+def converted(key: str, convert, value):
+    """``convert(value)``; any failure is raised as a ValueError naming ``key``."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{key}: {type(exc).__name__}: {exc}") from None
+
+
 def validate_percentiles(percentiles) -> tuple[float, ...]:
     """``percentiles`` as floats; each must lie in (0, 100), strictly
     increasing, or ValueError is raised."""
+    if isinstance(percentiles, str):
+        raise ValueError(f"expected a list of percentiles, got the string {percentiles!r}")
     percentiles = tuple(float(p) for p in percentiles)
     for p in percentiles:
         if not 0.0 < p < 100.0:
@@ -225,6 +237,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
         object.__setattr__(self, "percentiles", validate_percentiles(self.percentiles))
@@ -248,14 +262,12 @@ class SimulationConfig:
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         convert = {
             "ci_level": float,
-            "halfwidths": lambda hw: {name: _halfwidth_from_dict(spec) for name, spec in hw.items()},
+            "halfwidths": lambda hw: {k: converted(k, _halfwidth_from_dict, v) for k, v in hw.items()},
             "correlation_mode": CorrelationMode,
+            "percentiles": validate_percentiles,
             "model_kind": ModelKind,
         }
-        try:
-            return cls(**{key: convert.get(key, lambda v: v)(value) for key, value in doc.items()})
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"{type(exc).__name__}: {exc}") from None
+        return cls(**{k: converted(k, convert.get(k, lambda x: x), v) for k, v in doc.items()})
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot (used by run manifests)."""

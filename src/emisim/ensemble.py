@@ -48,6 +48,7 @@ from .errors import (
     InvalidLevelError,
     MissingHalfwidthError,
 )
+from .ingest import csv_text
 from .model import EmissionModel, fit_model
 
 #: Version of the random stream behind every simulated number.
@@ -199,8 +200,9 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> list[Pe
         else:
             halfwidths = [float(spec) * m for m in mean.values]
         sigmas = [hw / z if hw else 0.0 for hw in halfwidths]
-        if name in FRACTION_VARIABLES and max(sigmas) > 1.0:
-            raise HalfwidthTooWideError(f"{name} halfwidth gives sigma {max(sigmas):.6g} > 1")
+        limit = 1.0 if name in FRACTION_VARIABLES else np.finfo(float).max
+        if max(sigmas) > limit:
+            raise HalfwidthTooWideError(f"{name} halfwidth gives sigma {max(sigmas):.6g} > {limit:g}")
         sigma_unit = Unit.FRACTION if name in FRACTION_VARIABLES else Unit.TWH
         sigma = AnnualSeries(sigma_unit, tuple(zip(years, sigmas)))
         bounds = (0.0, 1.0) if name in FRACTION_VARIABLES else (0.0, math.inf)
@@ -295,17 +297,10 @@ class EnsembleResult:
         if np.any(self.matrix < 0.0):
             raise ValueError("negative emission values in ensemble")
 
-    @property
-    def n_realizations(self) -> int:
-        return self.matrix.shape[0]
-
     def to_csv_text(self) -> str:
         """One row per realization, one column per year."""
-        lines = [",".join(str(y) for y in self.years)]
         # one row of Python floats at a time keeps the conversion's memory small
-        for row in self.matrix:
-            lines.append(",".join(map(repr, row.tolist())))
-        return "\n".join(lines) + "\n"
+        return csv_text(map(str, self.years), (map(repr, row.tolist()) for row in self.matrix))
 
 
 def run_simulation(
@@ -378,12 +373,8 @@ class PercentileBands:
 
     def to_csv_text(self) -> str:
         header = ["year", "mean"] + [f"p{p:g}" for p in self.percentiles]
-        lines = [",".join(header)]
-        for i, year in enumerate(self.years):
-            cells = [str(year), repr(float(self.mean[i]))]
-            cells += [repr(float(v)) for v in self.levels[i]]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = zip(self.years, self.mean.tolist(), self.levels.tolist())
+        return csv_text(header, ([str(y), repr(m), *map(repr, levels)] for y, m, levels in rows))
 
     def to_dict(self) -> dict:
         return {

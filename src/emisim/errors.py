@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all emisim modules.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit codes (2 = validation, 3 = I/O, 4 = numeric).
+documented exit codes (2 = validation, 3 = I/O, 4 = numeric). The package
+raises a plain ``ValueError`` only to reject a value, and the CLI ends it
+with exit 2; an ``ArithmeticError`` such as ``OverflowError`` ends with 4.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -50,6 +51,12 @@ def _fmt(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
+
+
+def csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """The CSV text of ``header`` and then of each row of ``rows``: the cells
+    joined by commas, and every line, the last one included, ended by LF."""
+    return "".join(f"{','.join(cells)}\n" for cells in chain((header,), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +95,10 @@ def _data_rows(text: str, header: Sequence[str]):
     skipped but counted, so the line numbers are the file's. A row with
     another cell count, or no data row at all, raises SchemaError."""
     reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise SchemaError(reader.line_num, 1, f"malformed CSV: {exc}") from None
     if not rows:
         raise SchemaError(1, 1, "no data rows")
     (header_line, first), rows = rows[0], rows[1:]
@@ -231,22 +241,12 @@ def _series_from_json(doc, unit: Unit) -> AnnualSeries:
 
 
 def driver_table_to_csv_text(table: DriverTable) -> str:
-    lines = [",".join(DRIVER_HEADER)]
-    for r in table.rows:
-        lines.append(
-            ",".join(
-                [str(r.year)]
-                + [_fmt(getattr(r, k)) for k in DRIVER_HEADER[1:]]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([str(r.year)] + [_fmt(getattr(r, k)) for k in DRIVER_HEADER[1:]] for r in table.rows)
+    return csv_text(DRIVER_HEADER, rows)
 
 
 def series_to_csv_text(series: AnnualSeries) -> str:
-    lines = [",".join(SERIES_HEADER)]
-    for year, value in series.points:
-        lines.append(f"{year},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(SERIES_HEADER, ((str(y), _fmt(v)) for y, v in series.points))
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +364,7 @@ def inference_energy(task, count: int, table: "InferenceEnergyTable | None" = No
 
 
 def inference_table_to_csv_text(table: InferenceEnergyTable) -> str:
-    lines = ["task,energy_wh"]
-    for task in InferenceTask:
-        lines.append(f"{task.value},{_fmt(table.energy(task))}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("task", "energy_wh"), ((t.value, _fmt(table.energy(t))) for t in InferenceTask))
 
 
 def parse_inference_table_text(text: str) -> InferenceEnergyTable:
@@ -394,53 +391,59 @@ def cagr_project(
     value(t) = base * (1 + rate)^t, returned as a series indexed from
     ``start_year``.
     """
-    if base <= 0.0:
-        raise ValueError("base must be > 0")
-    if annual_rate <= -1.0:
-        raise ValueError("rate must be > -1")
+    if not 0.0 < base < math.inf:
+        raise ValueError(f"base must be finite and > 0, got {base}")
+    if not -1.0 < annual_rate < math.inf:
+        raise ValueError(f"rate must be finite and > -1, got {annual_rate}")
     if years < 0:
         raise ValueError("years must be >= 0")
     growth = 1.0 + annual_rate
     points = tuple((start_year + t, base * growth**t) for t in range(years + 1))
+    if math.isinf(points[-1][1]):
+        raise OverflowError(f"projection overflows by year {points[-1][0]}")
     return AnnualSeries(unit, points, contiguous=True)
 
 
 def doubling_project(base: float, doubling_months: float, horizon_months: float) -> float:
     """Exponential doubling: base * 2^(horizon / doubling)."""
-    if doubling_months <= 0.0:
-        raise ValueError("doubling period must be > 0")
-    return base * 2.0 ** (horizon_months / doubling_months)
+    if not all(map(math.isfinite, (base, horizon_months))) or not 0.0 < doubling_months < math.inf:
+        raise ValueError("base and horizon must be finite, and the doubling period finite and > 0")
+    value = base * 2.0 ** (horizon_months / doubling_months)
+    if math.isinf(value):
+        raise OverflowError("projection overflows")
+    return value
 
 
 def equivalent_homes(co2_mt: float) -> float:
     """American homes whose one-year energy-use emissions match ``co2_mt``."""
     if co2_mt < 0.0:
         raise NegativeInputError("emissions must be >= 0")
-    return co2_mt * HOMES_PER_MT_CO2
+    if not math.isfinite(co2_mt):
+        raise ValueError(f"emissions must be finite, got {co2_mt}")
+    homes = co2_mt * HOMES_PER_MT_CO2
+    if math.isinf(homes):
+        raise OverflowError("equivalent homes overflow")
+    return homes
 
 
 # ---------------------------------------------------------------------------
 # Bundled datasets
 # ---------------------------------------------------------------------------
 
-def _bundled_text(name: str) -> str:
+def bundled_data_text(name: str) -> str:
+    """Raw text of a bundled dataset."""
     return (resources.files("emisim.data") / name).read_text(encoding="utf-8")
 
 
 def bundled_driver_table() -> DriverTable:
     """The 16-row 2020-2035 driver table shipped with the package."""
-    return parse_driver_csv_text(_bundled_text("table2.csv"))
+    return parse_driver_csv_text(bundled_data_text("table2.csv"))
 
 
 def bundled_ai_co2_bundle() -> ScenarioBundle:
     """Four AI-workload CO2 scenario trajectories, 2020-2035."""
-    return bundle_from_dict(json.loads(_bundled_text("ai_co2_scenarios.json")))
+    return bundle_from_dict(json.loads(bundled_data_text("ai_co2_scenarios.json")))
 
 
 def bundled_inference_table() -> InferenceEnergyTable:
-    return parse_inference_table_text(_bundled_text("inference_energy.csv"))
-
-
-def bundled_data_text(name: str) -> str:
-    """Raw text of a bundled dataset (used by round-trip checks)."""
-    return _bundled_text(name)
+    return parse_inference_table_text(bundled_data_text("inference_energy.csv"))

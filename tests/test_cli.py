@@ -19,11 +19,12 @@ TABLE = str(DATA_DIR / "table2.csv")
 BUNDLE = str(DATA_DIR / "ai_co2_scenarios.json")
 
 
-def _run_emisim(*argv):
-    """``python -m emisim`` in a child process that imports this checkout."""
+def _run_emisim(*argv, **env):
+    """``python -m emisim`` in a child process that imports this checkout,
+    with ``env`` added to the environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "emisim", *argv],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "emisim", *argv], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path})
 
 
 def _assert_clean_failure(proc, code):
@@ -430,6 +431,94 @@ def test_non_utf8_input_exit_codes(tmp_path, command, name, data):
     proc = _run_emisim(command, "--input", str(path))
     _assert_clean_failure(proc, 2)
     assert "not UTF-8" in proc.stderr
+
+
+_FOUR_ROWS = {"t.csv": "".join(Path(TABLE).read_text().splitlines(keepends=True)[:5])}
+_INFINITE_HW = {"hw.json": json.dumps({"semis_twh": 0.1, "dc_twh": 1e307, "mix_factor": 0.1,
+                                        "ai_share": 0.1})}
+_PARSEC_HW = {"hw.json": '{"dc_twh": {"unit": "parsec", "points": []}}'}
+_LONG_CELL = {"t.csv": "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt\n2020," + "9" * 131_073
+              + ",1,1,1,1\n"}
+
+
+def _case(case_id, command, files=None, env=None, code=2, named=()):
+    """One rejected command line; ``TABLE`` stands for the bundled driver table."""
+    argv = [TABLE if word == "TABLE" else word for word in command.split()]
+    return pytest.param(argv, files or {}, env or {}, code, named, id=case_id)
+
+
+@pytest.mark.parametrize(
+    "argv,files,env,code,named",
+    [
+        _case("cagr-negative-base", "project --base -1 --rate 0.1 --years 3", named=["base"]),
+        _case("cagr-rate-below-minus-one", "project --base 1 --rate -2 --years 3", named=["rate"]),
+        _case("cagr-negative-years", "project --base 1 --rate 0.1 --years -3", named=["years"]),
+        _case("cagr-nan-base", "project --base nan --rate 0.1 --years 3", named=["base"]),
+        _case("doubling-zero-period", "project --base 1 --doubling-months 0 --horizon 3"),
+        _case("fit-four-rows", "fit --model regression --input t.csv", _FOUR_ROWS,
+              named=["6 rows"]),
+        _case("emissions-four-rows", "emissions --model regression --input t.csv", _FOUR_ROWS,
+              named=["6 rows"]),
+        _case("simulate-four-rows", "simulate --model regression --input t.csv", _FOUR_ROWS,
+              named=["6 rows"]),
+        _case("infinite-sigma", "simulate --input TABLE --halfwidths hw.json", _INFINITE_HW,
+              named=["HalfwidthTooWideError", "dc_twh"]),
+        _case("doubling-overflow", "project --base 1 --doubling-months 1 --horizon 3000", code=4),
+        _case("cagr-overflow", "project --base 1 --rate 0.1 --years 100000", code=4),
+        _case("config-ci-level-string", "simulate --input TABLE --config cfg.json",
+              {"cfg.json": '{"ci_level": "x"}'}, named=["ci_level"]),
+        _case("halfwidths-parsec", "simulate --input TABLE --halfwidths hw.json", _PARSEC_HW,
+              named=["hw.json", "dc_twh", "parsec"]),
+        _case("env-seed-abc", "simulate --input TABLE", env={"EMISIM_SEED": "abc"},
+              named=["EMISIM_SEED"]),
+        _case("config-percentiles-string", "simulate --input TABLE --config cfg.json",
+              {"cfg.json": '{"percentiles": "5"}'}, named=["percentiles"]),
+        _case("seed-minus-one", "simulate --input TABLE --seed -1", named=["master_seed"]),
+        _case("seed-2-to-64", f"simulate --input TABLE --seed {2**64}", named=["master_seed"]),
+        _case("equiv-inf", "equiv inf"),
+        _case("doubling-inf-base", "project --base inf --doubling-months 1 --horizon 1"),
+        _case("doubling-nan-period", "project --base 1 --doubling-months nan --horizon 1"),
+        _case("oversized-csv-cell", "validate --input t.csv", _LONG_CELL,
+              named=["line 2", "field limit"]),
+    ],
+)
+def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
+                                                               named):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    proc = _run_emisim(*argv, **env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stdout == ""
+    for word in named:
+        assert word in proc.stderr
+
+
+# Digests of outputs made of IEEE products, quotients and math.fsum means
+# only, so they depend on neither libm nor LAPACK and hold on every machine.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["emissions", "--input", TABLE, "--model", "intensity"],
+         "df9a5127881353bfb2fe155feed4669ff6e9e33b55387265059d6f7dfded91c1"),
+        (["emissions", "--input", TABLE, "--model", "intensity", "--format", "json"],
+         "6b0cd636800ef67e74562364c6d2e6b654cfb4777c328c4e0a727f21b9e246f8"),
+        (["emissions", "--input", BUNDLE],
+         "b5971d8b7b2330b6a6ff5a4080acc11bab30bd2fb1229d98733a299e76e2f53b"),
+        (["emissions", "--input", BUNDLE, "--format", "json"],
+         "462ee6233c712623e455eecdbad69d27ec79728e40a5668fc47e221b1c516b55"),
+        (["mean", "--input", BUNDLE],
+         "bb617d3b8e23cf5659aa178c5683287ef7eb2c8e214a1b95a1c70e4b418f38e0"),
+    ],
+    ids=["emissions-intensity-csv", "emissions-intensity-json", "bundle-csv", "bundle-json",
+         "mean-csv"],
+)
+def test_output_bytes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert _sha256(out) == digest
 
 
 @pytest.mark.parametrize("command", ["validate", "mean", "bands"])

@@ -266,6 +266,8 @@ def test_config_defaults():
         {"percentiles": (0.0, 50.0)},
         {"halfwidths": {"nope": 0.1}},
         {"halfwidths": {"dc_twh": -0.1}},
+        {"master_seed": -1},
+        {"master_seed": 2**64},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -323,6 +325,13 @@ def test_config_from_dict_defaults_and_series_unit():
         ({"halfwidths": {"dc_twh": {"unit": "parsec", "points": []}}}, "Unit"),
         ({"percentiles": 50}, "TypeError"),
         ({"ci_level": None}, "TypeError"),
+        ({"halfwidths": {"dc_twh": {"unit": "parsec", "points": []}}}, "halfwidths: dc_twh: "),
+        ({"halfwidths": {"ai_share": "wide"}}, "halfwidths: ai_share: could not convert"),
+        ({"percentiles": "5"}, "percentiles: .*string '5'"),
+        ({"percentiles": [5, "x"]}, "percentiles: could not convert"),
+        ({"ci_level": "x"}, "ci_level: could not convert string to float: 'x'"),
+        ({"master_seed": -1}, r"master_seed must be in \[0, 2\*\*64\), got -1"),
+        ({"master_seed": 2**64}, "master_seed must be in"),
     ],
 )
 def test_config_from_dict_rejects(doc, message):

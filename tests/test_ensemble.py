@@ -164,6 +164,13 @@ def test_build_perturbations_rejects_fraction_sigma_above_one(table):
         build_perturbations(table, _config(halfwidths=hw))
 
 
+def test_build_perturbations_rejects_infinite_sigma(table):
+    # 1e307 of a 269 TWh mean overflows to an infinite halfwidth
+    hw = {**_uniform_halfwidths(0.1), "dc_twh": 1e307}
+    with pytest.raises(HalfwidthTooWideError, match="dc_twh halfwidth gives sigma inf"):
+        build_perturbations(table, _config(halfwidths=hw))
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emisim.core import AlignmentGroup, ScenarioFamily, Unit, align_scenarios
 from emisim.errors import (
+    EmisimError,
     FractionOutOfRangeError,
     NegativeInputError,
     SchemaError,
@@ -19,6 +22,7 @@ from emisim.ingest import (
     bundled_driver_table,
     bundled_inference_table,
     cagr_project,
+    csv_text,
     doubling_project,
     driver_table_to_csv_text,
     equivalent_homes,
@@ -115,12 +119,47 @@ def test_series_csv_parse_and_errors():
         (parse_matrix_csv_text, "\n2020,2021\n1,2\n\n3\n4,5\n", 5, 1),
         (parse_matrix_csv_text, "\n2020,20x1\n1,2\n", 2, 2),
         (parse_matrix_csv_text, "\n2020,2021\n\n", 3, 1),
+        # the csv module's own errors: a bare CR inside a line, an oversized cell
+        (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,91\r,269,0.62,0.02,1.03\n", 3, 1),
+        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2020,1\r2021,2\n", 2, 1),
+        (parse_inference_table_text, "task,energy_wh\n\n" + "x" * 131_073 + ",1\n", 3, 1),
     ],
 )
 def test_parse_errors_count_blank_lines(parse, text, line, column):
     with pytest.raises(SchemaError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+_TEXT_PARSERS = [
+    parse_driver_csv_text,
+    lambda text: parse_series_csv_text(text, Unit.TWH),
+    parse_inference_table_text,
+    parse_matrix_csv_text,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", DRIVER_HEADER + "\n", "year,value\n", "task,energy_wh\n", "2020,2021\n"]),
+    st.text(st.sampled_from(list("0123456789,.-+eEinfax_ \t\r\n\"")) | st.characters(),
+            max_size=150),
+)
+@example("year,value\n", "2020,1\r2021,2\n")
+@example(DRIVER_HEADER + "\n", "2020," + "9" * 131_073 + ",1,1,1,1\n")
+def test_text_parsers_raise_only_emisim_or_value_errors(header, body):
+    # the CLI ends either with exit 2 and one line; anything else is a traceback
+    for parse in _TEXT_PARSERS:
+        try:
+            parse(header + body)
+        except (EmisimError, ValueError):
+            pass
+
+
+def test_csv_text_ends_every_line_with_lf():
+    text = csv_text(("year", "value"), [("2020", "1.5"), ["2021", "2"]])
+    assert text == "year,value\n2020,1.5\n2021,2\n"
+    assert csv_text(iter(["year"]), iter([])) == "year\n"
 
 
 def test_matrix_csv_bad_line_found_in_a_long_file():
@@ -258,6 +297,12 @@ def test_cagr_domain():
         cagr_project(100.0, -1.0, 5)
     with pytest.raises(ValueError):
         cagr_project(100.0, 0.1, -1)
+    for base, rate in ((math.inf, 0.1), (math.nan, 0.1), (100.0, math.nan), (100.0, math.inf)):
+        with pytest.raises(ValueError):
+            cagr_project(base, rate, 5)
+    for base, rate, years in ((1.0, 0.1, 100_000), (1e300, 1.0, 100)):
+        with pytest.raises(OverflowError):
+            cagr_project(base, rate, years)
 
 
 def test_doubling_project():
@@ -267,8 +312,13 @@ def test_doubling_project():
     assert doubling_project(1.0, 3.4, 12.0) == pytest.approx(11.55, abs=0.01)
     assert doubling_project(7.5, 3.4, 0.0) == 7.5
     assert doubling_project(7.5, 3.4, 3.4) == 15.0
-    with pytest.raises(ValueError):
-        doubling_project(1.0, 0.0, 12.0)
+    rejected = ((1.0, 0.0, 12.0), (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, -math.inf))
+    for args in rejected:
+        with pytest.raises(ValueError):
+            doubling_project(*args)
+    for args in ((1.0, 1.0, 3000.0), (1e300, 1.0, 1000.0)):
+        with pytest.raises(OverflowError):
+            doubling_project(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +334,14 @@ def test_equivalent_homes_quoted_factor():
 def test_equivalent_homes_negative():
     with pytest.raises(NegativeInputError):
         equivalent_homes(-1.0)
+
+
+def test_equivalent_homes_rejects_non_finite_and_overflow():
+    for co2 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            equivalent_homes(co2)
+    with pytest.raises(OverflowError):
+        equivalent_homes(1e305)
 
 
 def test_equivalent_homes_linear_on_exact_inputs():
