@@ -23,7 +23,7 @@ from .core import (
 from .ensemble import (
     EnsembleResult,
     PercentileBands,
-    PerturbationSpec,
+    Perturbation,
     bands,
     build_perturbations,
     ci_to_sigma,
@@ -70,7 +70,7 @@ __all__ = [
     "LinearRegressionModel",
     "ModelKind",
     "PercentileBands",
-    "PerturbationSpec",
+    "Perturbation",
     "ScenarioBundle",
     "ScenarioFamily",
     "ScenarioTrajectory",

@@ -41,7 +41,7 @@ from .ensemble import RNG_STREAM, bands, bands_from_matrix, run_simulation
 from .errors import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EmisimError
 from .ingest import (
     bundled_inference_table,
-    cagr_project,
+    cagr_value,
     csv_text,
     doubling_project,
     equivalent_homes,
@@ -250,8 +250,7 @@ def cmd_project(args) -> int:
     if has_cagr:
         if args.rate is None or args.years is None:
             raise EmisimError("CAGR mode needs both --rate and --years")
-        series = cagr_project(args.base, args.rate, args.years)
-        print(repr(series.values[-1]))
+        print(repr(cagr_value(args.base, args.rate, args.years)))
     else:
         if args.doubling_months is None or args.horizon is None:
             raise EmisimError("doubling mode needs both --doubling-months and --horizon")

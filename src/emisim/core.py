@@ -162,12 +162,6 @@ class DriverTable:
     def column(self, name: str) -> tuple[float, ...]:
         return tuple(getattr(r, name) for r in self.rows)
 
-    def column_series(self, name: str) -> AnnualSeries:
-        unit = Unit.FRACTION if name in FRACTION_VARIABLES else (
-            Unit.MT_CO2 if name == "co2_mt" else Unit.TWH
-        )
-        return AnnualSeries(unit, tuple((r.year, getattr(r, name)) for r in self.rows), contiguous=True)
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -198,7 +192,7 @@ def converted(key: str, convert, value):
         return convert(value)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{key}: {type(exc).__name__}: {exc}") from None
 
 

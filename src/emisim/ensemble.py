@@ -6,9 +6,9 @@ The sampling contract:
   of ``(master_seed, i, j)``, computed by one vectorized counter-based kernel
   (:func:`standard_normals`), so results are independent of evaluation
   order, of how rows are blocked, and of the ``workers`` setting;
-* slots are laid out variable-major in
-  :data:`~emisim.core.DRIVER_VARIABLES` order, then by year in per-year
-  mode; per-variable mode has one slot per variable, shared by every year;
+* slots are laid out variable-major in :class:`Perturbation` row order,
+  then by year in per-year mode; per-variable mode has one slot per
+  variable, shared by every year;
 * the stream is versioned as :data:`RNG_STREAM`; its bytes also depend on
   numpy's ``log``, ``cos`` and ``sin``, so run manifests record the numpy
   version;
@@ -57,8 +57,6 @@ RNG_STREAM = "splitmix-boxmuller-v1"
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _GAMMA = np.uint64(_SPLITMIX_GAMMA)
-# Pairs of normals computed per block; bounds the temporaries, not the output.
-_BLOCK_PAIRS = 1 << 15
 # Elements of the widest per-row array (normals or one driver) per block of
 # rows in _simulate_rows; bounds its temporaries, not its output.
 _BLOCK_ELEMS = 1 << 16
@@ -91,23 +89,21 @@ def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> n
     outputs ``2c + 1`` and ``2c + 2`` as the 53-bit uniforms ``u1`` in
     (0, 1] and ``u2`` in [0, 1), and Box-Muller turns them into slots
     ``2k = r cos(2 pi u2)`` and ``2k + 1 = r sin(2 pi u2)`` of its
-    realization, with ``r = sqrt(-2 ln u1)``.
+    realization, with ``r = sqrt(-2 ln u1)``. Its temporaries grow with
+    ``stop - start``; :func:`_simulate_rows` bounds them by its row blocks.
     """
     n_pairs = -(-n_slots // 2)
-    first = start * n_pairs
-    total = (stop - start) * n_pairs
-    key = np.uint64(substream_seed(master_seed, 0))
-    out = np.empty((total, 2))
-    for lo in range(0, total, _BLOCK_PAIRS):
-        hi = min(lo + _BLOCK_PAIRS, total)
-        counters = np.arange(first + lo, first + hi, dtype=np.uint64)
-        state = key + (2 * counters + 1) * _GAMMA
-        u1 = ((_splitmix64(state) >> 11) + 1) * 2.0**-53
-        u2 = (_splitmix64(state + _GAMMA) >> 11) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        out[lo:hi, 0] = radius * np.cos(angle)
-        out[lo:hi, 1] = radius * np.sin(angle)
+    # allocated before the temporaries: after them, it raised the peak RSS
+    # of a per-year simulate
+    out = np.empty(((stop - start) * n_pairs, 2))
+    counters = np.arange(start * n_pairs, stop * n_pairs, dtype=np.uint64)
+    state = np.uint64(substream_seed(master_seed, 0)) + (2 * counters + 1) * _GAMMA
+    u1 = ((_splitmix64(state) >> 11) + 1) * 2.0**-53
+    u2 = (_splitmix64(state + _GAMMA) >> 11) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u2
+    out[:, 0] = radius * np.cos(angle)
+    out[:, 1] = radius * np.sin(angle)
     return out.reshape(stop - start, 2 * n_pairs)[:, :n_slots]
 
 
@@ -135,9 +131,6 @@ def ci_to_sigma(halfwidth: float, level: float) -> float:
     halfwidth: sigma = halfwidth / z."""
     if halfwidth < 0.0:
         raise ValueError("halfwidth must be >= 0")
-    if halfwidth == 0.0:
-        two_sided_z(level)  # still validate the level
-        return 0.0
     return halfwidth / two_sided_z(level)
 
 
@@ -149,72 +142,67 @@ def sigma_to_ci(sigma: float, level: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Perturbation specs
+# Perturbation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PerturbationSpec:
-    """Normal perturbation of one driver variable: per-year mean and sigma
-    plus the clamp interval for tail draws."""
+class Perturbation:
+    """Normal perturbation of the driver variables: row ``k`` of the
+    read-only (variable x year) arrays ``mean`` and ``sigma``, and the clamp
+    interval ``[lower[k], upper[k]]`` of tail draws, belong to variable
+    ``DRIVER_VARIABLES[k]``."""
 
-    variable: str
-    mean: AnnualSeries
-    sigma: AnnualSeries
-    bounds: tuple[float, float]
+    years: tuple[int, ...]
+    mean: np.ndarray
+    sigma: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
-        if self.variable not in DRIVER_VARIABLES:
-            raise ValueError(f"unknown driver variable {self.variable!r}")
-        if self.mean.years != self.sigma.years:
-            raise ValueError("mean and sigma must cover the same years")
-        if any(s < 0.0 for s in self.sigma.values):
-            raise ValueError("sigma must be >= 0 everywhere")
-        lower, upper = self.bounds
-        if not lower < upper:
-            raise ValueError("bounds must satisfy lower < upper")
-        if any(not lower <= m <= upper for m in self.mean.values):
-            raise ValueError(f"{self.variable} mean leaves bounds {self.bounds}")
+        for name in ("mean", "sigma", "lower", "upper"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
-def build_perturbations(table: DriverTable, config: SimulationConfig) -> list[PerturbationSpec]:
-    """One spec per driver variable.
+def build_perturbations(table: DriverTable, config: SimulationConfig) -> Perturbation:
+    """The perturbation of every driver variable of ``table``.
 
     A scalar halfwidth is a fraction of the per-year mean; an AnnualSeries
     halfwidth gives absolute per-year halfwidths. Either way sigma is the
     halfwidth divided by the two-sided normal quantile of ``ci_level``.
     """
     validate_driver_table(table)
-    years = table.years
     z = two_sided_z(config.ci_level)
-    specs = []
-    for name in DRIVER_VARIABLES:
+    means = [table.column(name) for name in DRIVER_VARIABLES]
+    sigmas = []
+    for name, mean in zip(DRIVER_VARIABLES, means):
         if name not in config.halfwidths:
             raise MissingHalfwidthError(f"no halfwidth configured for {name}")
         spec = config.halfwidths[name]
-        mean = table.column_series(name)
         if isinstance(spec, AnnualSeries):
             try:
-                halfwidths = [spec.value_at(y) for y in years]
+                halfwidths = [spec.value_at(y) for y in table.years]
             except KeyError as exc:
                 raise MissingHalfwidthError(f"halfwidth series for {name} missing {exc}") from None
         else:
-            halfwidths = [float(spec) * m for m in mean.values]
-        sigmas = [hw / z if hw else 0.0 for hw in halfwidths]
+            # Python floats: an overflow gives inf without a numpy warning
+            halfwidths = [float(spec) * m for m in mean]
+        sigmas.append([hw / z for hw in halfwidths])
+        widest = max(sigmas[-1])
         limit = 1.0 if name in FRACTION_VARIABLES else np.finfo(float).max
-        if max(sigmas) > limit:
-            raise HalfwidthTooWideError(f"{name} halfwidth gives sigma {max(sigmas):.6g} > {limit:g}")
-        sigma_unit = Unit.FRACTION if name in FRACTION_VARIABLES else Unit.TWH
-        sigma = AnnualSeries(sigma_unit, tuple(zip(years, sigmas)))
-        bounds = (0.0, 1.0) if name in FRACTION_VARIABLES else (0.0, math.inf)
-        specs.append(PerturbationSpec(name, mean, sigma, bounds))
-    return specs
+        if widest > limit:
+            raise HalfwidthTooWideError(f"{name} halfwidth gives sigma {widest:.6g} > {limit:g}")
+    upper = [1.0 if name in FRACTION_VARIABLES else math.inf for name in DRIVER_VARIABLES]
+    return Perturbation(table.years, means, sigmas, [0.0] * len(DRIVER_VARIABLES), upper)
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _simulate_rows(specs, model, master_seed: int, start: int, stop: int, mode: CorrelationMode):
+def _simulate_rows(perturbation: Perturbation, model, master_seed: int, start: int, stop: int,
+                   mode: CorrelationMode):
     """Emission matrix of realizations ``start .. stop - 1`` with its clamped
     draw and prediction counts: ``mean + z * sigma`` per variable, clamped
     to the variable bounds, then one ``predict_grid`` call.
@@ -222,30 +210,26 @@ def _simulate_rows(specs, model, master_seed: int, start: int, stop: int, mode: 
     The draws are made in blocks of rows written straight into the driver
     arrays, so besides those arrays and the model's output only one block
     of normals is held at a time."""
-    years = specs[0].mean.years
-    per_year = mode is CorrelationMode.INDEPENDENT_PER_YEAR
-    n_slots = len(specs) * (len(years) if per_year else 1)
+    n_vars, n_years = perturbation.mean.shape
+    n_slots = n_vars * (n_years if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 1)
     n_rows = stop - start
     # (variable, year, realization): each driver is a column-major
     # (realizations x years) view, which keeps numpy's inner loops long
     # when z has one column, and a block of rows is one slice for all four
-    drivers = np.empty((len(specs), len(years), n_rows))
-    sigma = np.array([spec.sigma.values for spec in specs])[:, :, None]
-    mean = np.array([spec.mean.values for spec in specs])[:, :, None]
-    bounds = np.array([spec.bounds for spec in specs])
-    lower, upper = bounds[:, 0, None, None], bounds[:, 1, None, None]
-    step = max(1, _BLOCK_ELEMS // max(n_slots, len(years)))
+    drivers = np.empty((n_vars, n_years, n_rows))
+    sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
+    lower, upper = perturbation.lower[:, None, None], perturbation.upper[:, None, None]
+    step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
     clamped = 0
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
         z = standard_normals(master_seed, start + lo, start + hi, n_slots)
         raw = drivers[:, :, lo:hi]
-        np.multiply(z.reshape(hi - lo, len(specs), -1).transpose(1, 2, 0), sigma, out=raw)
+        np.multiply(z.reshape(hi - lo, n_vars, -1).transpose(1, 2, 0), sigma, out=raw)
         raw += mean
         clamped += int(np.count_nonzero((raw < lower) | (raw > upper)))
         np.clip(raw, lower, upper, out=raw)
-    by_name = {spec.variable: drivers[k].T for k, spec in enumerate(specs)}
-    matrix = model.predict_grid(years, *(by_name[v] for v in DRIVER_VARIABLES))
+    matrix = model.predict_grid(perturbation.years, *(driver.T for driver in drivers))
     pred_clamped = (
         int(np.count_nonzero(matrix == 0.0)) if model.kind is ModelKind.LINEAR_REGRESSION else 0
     )
@@ -262,7 +246,7 @@ class Realization:
 
 
 def sample_realization(
-    specs: Sequence[PerturbationSpec],
+    perturbation: Perturbation,
     model: EmissionModel,
     realization_index: int,
     master_seed: int,
@@ -271,10 +255,9 @@ def sample_realization(
     """Draw one realization; bit-identical to the matching row of
     :func:`run_simulation` for the same seed and index."""
     row, clamped, pred_clamped = _simulate_rows(
-        specs, model, master_seed, realization_index, realization_index + 1, correlation_mode
+        perturbation, model, master_seed, realization_index, realization_index + 1, correlation_mode
     )
-    years = specs[0].mean.years
-    emissions = AnnualSeries(Unit.MT_CO2, tuple(zip(years, row[0].tolist())))
+    emissions = AnnualSeries(Unit.MT_CO2, tuple(zip(perturbation.years, row[0].tolist())))
     return Realization(emissions, clamped, pred_clamped)
 
 
@@ -319,9 +302,9 @@ def run_simulation(
     validate_driver_table(table)
     if model is None:
         model = fit_model(table, config.model_kind)
-    specs = build_perturbations(table, config)
+    perturbation = build_perturbations(table, config)
     matrix, clamped, pred_clamped = _simulate_rows(
-        specs, model, config.master_seed, 0, config.realizations, config.correlation_mode
+        perturbation, model, config.master_seed, 0, config.realizations, config.correlation_mode
     )
     return EnsembleResult(matrix, table.years, config.master_seed, config, clamped, pred_clamped)
 
@@ -386,6 +369,8 @@ class PercentileBands:
 
 
 def bands_from_matrix(matrix: np.ndarray, years, percentiles) -> PercentileBands:
+    """Percentile bands and mean of each column of a (realizations x years)
+    matrix; the mean of a finite column that overflows raises OverflowError."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise EmptyEnsembleError("cannot take percentiles of an empty ensemble")
@@ -395,8 +380,13 @@ def bands_from_matrix(matrix: np.ndarray, years, percentiles) -> PercentileBands
     columns = np.array(matrix.T, order="C")
     columns.sort(axis=1)
     levels = _order_statistics(columns, percentiles)
-    # constant columns keep the degenerate (sigma = 0) collapse bit-exact
-    means = np.where(columns[:, 0] == columns[:, -1], columns[:, 0], columns.mean(axis=1))
+    with np.errstate(over="ignore"):  # an overflow is raised below, with its year
+        # constant columns keep the degenerate (sigma = 0) collapse bit-exact
+        means = np.where(columns[:, 0] == columns[:, -1], columns[:, 0], columns.mean(axis=1))
+    # a sorted column is finite iff its ends are
+    overflowed = np.isfinite(columns[:, [0, -1]]).all(axis=1) & ~np.isfinite(means)
+    if overflowed.any():
+        raise OverflowError(f"ensemble mean overflows in year {tuple(years)[overflowed.argmax()]}")
     return PercentileBands(tuple(years), percentiles, levels, means)
 
 

@@ -192,15 +192,15 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path, convert):
-    """``convert`` applied to the JSON document in ``path``. Malformed JSON
-    and content that ``convert`` rejects end as a one-line SchemaError; a
-    file that cannot be read raises OSError."""
+    """``convert`` applied to the JSON document in ``path``. JSON that is
+    malformed or nested too deeply, and content that ``convert`` rejects,
+    end as a one-line SchemaError; a file that cannot be read raises OSError."""
     text = read_text(path)
     try:
         return convert(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SchemaError(exc.lineno, exc.colno, f"malformed JSON in {path}: {exc.msg}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(1, 1, f"bad content in {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -379,28 +379,27 @@ def parse_inference_table_text(text: str) -> InferenceEnergyTable:
 # Growth projections and equivalences
 # ---------------------------------------------------------------------------
 
-def cagr_project(
-    base: float,
-    annual_rate: float,
-    years: int,
-    start_year: int = 0,
-    unit: Unit = Unit.TWH,
-) -> AnnualSeries:
-    """Compound ``base`` at ``annual_rate`` for ``years`` steps.
-
-    value(t) = base * (1 + rate)^t, returned as a series indexed from
-    ``start_year``.
-    """
+def cagr_value(base: float, annual_rate: float, years: int) -> float:
+    """``base`` compounded at ``annual_rate`` for ``years`` steps:
+    base * (1 + rate)^years."""
     if not 0.0 < base < math.inf:
         raise ValueError(f"base must be finite and > 0, got {base}")
     if not -1.0 < annual_rate < math.inf:
         raise ValueError(f"rate must be finite and > -1, got {annual_rate}")
     if years < 0:
         raise ValueError("years must be >= 0")
-    growth = 1.0 + annual_rate
-    points = tuple((start_year + t, base * growth**t) for t in range(years + 1))
-    if math.isinf(points[-1][1]):
-        raise OverflowError(f"projection overflows by year {points[-1][0]}")
+    value = base * (1.0 + annual_rate) ** years
+    if math.isinf(value):
+        raise OverflowError(f"projection overflows after {years} years")
+    return value
+
+
+def cagr_project(base: float, annual_rate: float, years: int, start_year: int = 0,
+                 unit: Unit = Unit.TWH) -> AnnualSeries:
+    """The :func:`cagr_value` of 0 to ``years`` steps, as a series indexed
+    from ``start_year``."""
+    cagr_value(base, annual_rate, years)  # if any value overflows, the last one does
+    points = tuple((start_year + t, base * (1.0 + annual_rate) ** t) for t in range(years + 1))
     return AnnualSeries(unit, points, contiguous=True)
 
 

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,12 @@ TABLE = str(DATA_DIR / "table2.csv")
 BUNDLE = str(DATA_DIR / "ai_co2_scenarios.json")
 
 
-def _run_emisim(*argv, **env):
+def _run_emisim(*argv, cwd=None, **env):
     """``python -m emisim`` in a child process that imports this checkout,
-    with ``env`` added to the environment."""
+    run in ``cwd`` with ``env`` added to the environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "emisim", *argv], capture_output=True, text=True,
-                          env={**os.environ, **env, "PYTHONPATH": path})
+                          cwd=cwd, env={**os.environ, **env, "PYTHONPATH": path})
 
 
 def _assert_clean_failure(proc, code):
@@ -92,6 +93,16 @@ def test_fit_intensity_json(tmp_path):
     assert doc["kind"] == "implied_intensity"
     kappa = dict((int(y), v) for y, v in doc["kappa"])
     assert kappa[2030] == pytest.approx(0.43726, abs=5e-6)
+    pinned = [
+        0.30879002278450657, 0.3898305084745763, 0.3526793357301832, 0.36784545094794396,
+        0.36456190867955574, 0.3926092482158568, 0.38111888111888115, 0.3914132379248659,
+        0.41484953925773044, 0.4263304979295432, 0.43725677591839546, 0.4468067549974795,
+        0.4571775773570269, 0.47740047740047736, 0.49083437787756723, 0.5073051948051948,
+    ]
+    assert list(kappa) == list(range(2020, 2036))
+    assert list(kappa.values()) == pytest.approx(pinned, rel=1e-9)
+    assert doc["diagnostics"]["kappa_min"] == pytest.approx(min(pinned), rel=1e-9)
+    assert doc["diagnostics"]["kappa_max"] == pytest.approx(max(pinned), rel=1e-9)
 
 
 def test_fit_regression_json(tmp_path):
@@ -101,6 +112,13 @@ def test_fit_regression_json(tmp_path):
     assert doc["kind"] == "linear_regression"
     assert len(doc["coefficients"]) == 5
     assert "residual_sum_of_squares" in doc["diagnostics"]
+    # intercept, then semis_twh, dc_twh, mix_factor and ai_share
+    pinned = [-104.62095880421987, -0.39337255707961594, 0.23662800624543043,
+              118.05499073671433, 67.44855758896458]
+    assert doc["coefficients"] == pytest.approx(pinned, rel=1e-9)
+    assert doc["diagnostics"]["residual_sum_of_squares"] == pytest.approx(277.6318757550938,
+                                                                          rel=1e-9)
+    assert doc["diagnostics"]["max_abs_residual"] == pytest.approx(7.804769713291265, rel=1e-9)
 
 
 def test_emissions_from_driver_table_reproduces_observed(tmp_path):
@@ -437,6 +455,11 @@ _FOUR_ROWS = {"t.csv": "".join(Path(TABLE).read_text().splitlines(keepends=True)
 _INFINITE_HW = {"hw.json": json.dumps({"semis_twh": 0.1, "dc_twh": 1e307, "mix_factor": 0.1,
                                         "ai_share": 0.1})}
 _PARSEC_HW = {"hw.json": '{"dc_twh": {"unit": "parsec", "points": []}}'}
+_HUGE_HW = {"hw.json": json.dumps({"semis_twh": 0.1, "dc_twh": 1e305, "mix_factor": 0.1,
+                                    "ai_share": 0.1})}
+_DRIVER_ROW = '"semis_twh": 1, "dc_twh": 1, "mix_factor": 0.5, "ai_share": 0.5, "co2_mt": 1'
+_TRAJECTORY = '{"name": "Surge", "family": "Shell", "unit": "MtCO2", "points": %s}'
+_DEEP_JSON = "[" * 100_000
 _LONG_CELL = {"t.csv": "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt\n2020," + "9" * 131_073
               + ",1,1,1,1\n"}
 
@@ -480,6 +503,25 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
         _case("doubling-nan-period", "project --base 1 --doubling-months nan --horizon 1"),
         _case("oversized-csv-cell", "validate --input t.csv", _LONG_CELL,
               named=["line 2", "field limit"]),
+        _case("overflowing-mean", "simulate --input TABLE --halfwidths hw.json --realizations 1000"
+              " --out o.csv --matrix-out m.csv", _HUGE_HW, code=4, named=["OverflowError", "2024"]),
+        _case("bands-overflowing-mean", "bands --input m.csv --out b.csv",
+              {"m.csv": "2020,2021\n1.0,1e308\n2.0,1.5e308\n"}, code=4, named=["2021"]),
+        _case("driver-json-infinite-year", "validate --input t.json",
+              {"t.json": '{"rows": [{"year": 1e999, %s}]}' % _DRIVER_ROW}, named=["t.json"]),
+        _case("bundle-infinite-year", "mean --input b.json",
+              {"b.json": '{"trajectories": [%s]}' % (_TRAJECTORY % "[[1e999, 1.0]]")},
+              named=["b.json"]),
+        _case("bundle-400-digit-value", "mean --input b.json",
+              {"b.json": '{"trajectories": [%s]}' % (_TRAJECTORY % f"[[2020, {'9' * 400}]]")},
+              named=["b.json"]),
+        _case("config-infinite-halfwidth-year", "simulate --input TABLE --config cfg.json",
+              {"cfg.json": '{"halfwidths": {"dc_twh": {"points": [[1e999, 1.0]]}}}'},
+              named=["halfwidths", "dc_twh"]),
+        _case("bundle-deep-nesting", "mean --input b.json", {"b.json": _DEEP_JSON},
+              named=["b.json"]),
+        _case("config-deep-nesting", "simulate --input TABLE --config cfg.json",
+              {"cfg.json": _DEEP_JSON}, named=["cfg.json"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
@@ -487,13 +529,15 @@ def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, f
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    proc = _run_emisim(*argv, **env)
+    proc = _run_emisim(*argv, cwd=tmp_path, **env)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stdout == ""
     for word in named:
         assert word in proc.stderr
+    # no output file either
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 # Digests of outputs made of IEEE products, quotients and math.fsum means
@@ -628,6 +672,18 @@ def test_project_cagr(capsys):
     assert main(["project", "--base", "152", "--rate", "0.15", "--years", "7"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert 400.0 <= value <= 408.0
+
+
+def test_project_cagr_memory_does_not_grow_with_years(capsys):
+    # one number is printed, so nothing of size --years may be built
+    tracemalloc.start()
+    try:
+        assert main(["project", "--base", "1", "--rate", "0", "--years", "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "1.0\n"
+    assert peak < 1 << 20
 
 
 def test_project_doubling(capsys):

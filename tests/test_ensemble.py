@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from scipy.special import ndtri  # independent quantile oracle
 
 from emisim.core import (
+    DRIVER_VARIABLES,
     AnnualSeries,
     CorrelationMode,
     ModelKind,
@@ -105,30 +107,38 @@ def test_negative_halfwidth_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Perturbation specs
+# Perturbation
 # ---------------------------------------------------------------------------
 
+def _row(name):
+    return DRIVER_VARIABLES.index(name)
+
+
 def test_build_perturbations_sigma_oracle(table):
-    specs = {s.variable: s for s in build_perturbations(table, _config())}
+    p = build_perturbations(table, _config())
     # dc_twh 2030: mean 918, 10% halfwidth at 99% level
-    sigma = specs["dc_twh"].sigma.value_at(2030)
+    sigma = p.sigma[_row("dc_twh"), p.years.index(2030)]
     assert sigma == pytest.approx(91.8 / float(ndtri(0.995)), rel=1e-12)
     assert sigma == pytest.approx(35.64, abs=0.01)
 
 
 def test_build_perturbations_bounds_and_means(table):
-    specs = {s.variable: s for s in build_perturbations(table, _config())}
-    assert specs["ai_share"].bounds == (0.0, 1.0)
-    assert specs["mix_factor"].bounds == (0.0, 1.0)
-    assert specs["dc_twh"].bounds == (0.0, math.inf)
-    assert specs["semis_twh"].bounds == (0.0, math.inf)
-    assert specs["ai_share"].mean.value_at(2030) == 0.73
-    assert specs["ai_share"].mean.unit is Unit.FRACTION
+    p = build_perturbations(table, _config())
+    bounds = {name: (p.lower[_row(name)], p.upper[_row(name)]) for name in DRIVER_VARIABLES}
+    assert bounds["ai_share"] == (0.0, 1.0)
+    assert bounds["mix_factor"] == (0.0, 1.0)
+    assert bounds["dc_twh"] == (0.0, math.inf)
+    assert bounds["semis_twh"] == (0.0, math.inf)
+    assert p.mean[_row("ai_share"), p.years.index(2030)] == 0.73
+    assert p.mean.shape == p.sigma.shape == (4, len(table.years))
+    for array in (p.mean, p.sigma, p.lower, p.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_build_perturbations_zero_halfwidth(table):
-    specs = build_perturbations(table, _config(halfwidths=_uniform_halfwidths(0.0)))
-    assert all(v == 0.0 for s in specs for v in s.sigma.values)
+    p = build_perturbations(table, _config(halfwidths=_uniform_halfwidths(0.0)))
+    assert np.all(p.sigma == 0.0)
 
 
 def test_build_perturbations_missing_halfwidth(table):
@@ -139,9 +149,9 @@ def test_build_perturbations_missing_halfwidth(table):
 def test_build_perturbations_per_year_series(table):
     hw = dict(_uniform_halfwidths(0.1))
     hw["dc_twh"] = AnnualSeries(Unit.TWH, tuple((y, 50.0) for y in table.years))
-    specs = {s.variable: s for s in build_perturbations(table, _config(halfwidths=hw))}
+    p = build_perturbations(table, _config(halfwidths=hw))
     z = float(ndtri(0.995))
-    assert specs["dc_twh"].sigma.value_at(2025) == pytest.approx(50.0 / z, rel=1e-12)
+    assert p.sigma[_row("dc_twh"), p.years.index(2025)] == pytest.approx(50.0 / z, rel=1e-12)
 
 
 def test_build_perturbations_series_must_cover_years(table):
@@ -182,20 +192,20 @@ def test_substream_seeds_distinct():
 
 
 def test_sample_realization_deterministic(table):
-    specs = build_perturbations(table, _config())
+    p = build_perturbations(table, _config())
     model = fit_implied_intensity(table)
-    a = sample_realization(specs, model, 5, 42)
-    b = sample_realization(specs, model, 5, 42)
+    a = sample_realization(p, model, 5, 42)
+    b = sample_realization(p, model, 5, 42)
     assert a.emissions.points == b.emissions.points
-    c = sample_realization(specs, model, 6, 42)
+    c = sample_realization(p, model, 6, 42)
     assert c.emissions.points != a.emissions.points
 
 
 def test_sample_realization_sigma_zero_equals_mean_curve(table):
     cfg = _config(halfwidths=_uniform_halfwidths(0.0))
-    specs = build_perturbations(table, cfg)
+    p = build_perturbations(table, cfg)
     model = fit_implied_intensity(table)
-    r = sample_realization(specs, model, 0, 42)
+    r = sample_realization(p, model, 0, 42)
     assert r.emissions.points == tuple(zip(table.years, predict_table(model, table).tolist()))
     assert r.clamped_draws == 0
 
@@ -213,16 +223,15 @@ def test_per_variable_draws_are_systematic_across_years(table):
     # realization i reads its normals from row i of the kernel: variable-major,
     # then year in per-year mode; one slot per variable, shared by every year,
     # in per-variable mode
-    specs = build_perturbations(table, _config())
+    p = build_perturbations(table, _config())
     model = fit_implied_intensity(table)
     n_years = len(table.years)
     for mode, n_slots in ((CorrelationMode.CORRELATED_PER_VARIABLE, 4),
                           (CorrelationMode.INDEPENDENT_PER_YEAR, 4 * n_years)):
         z = standard_normals(42, 3, 4, n_slots).reshape(4, -1)
-        drivers = [np.array(s.mean.values) + z[k] * np.array(s.sigma.values)
-                   for k, s in enumerate(specs)]
+        drivers = [p.mean[k] + z[k] * p.sigma[k] for k in range(4)]
         expected = model.predict_grid(table.years, *drivers)
-        got = sample_realization(specs, model, 3, 42, mode)
+        got = sample_realization(p, model, 3, 42, mode)
         assert np.array_equal(np.array(got.emissions.values), expected)
         # fractional halfwidths: a shared z scales every year by the same factor
         ratio = expected / np.asarray(table.column("co2_mt"))
@@ -284,10 +293,10 @@ def test_run_simulation_parallel_matches_serial(table):
 def test_run_simulation_rows_match_sample_realization(table):
     cfg = _config(realizations=20)
     result = run_simulation(table, cfg)
-    specs = build_perturbations(table, cfg)
+    p = build_perturbations(table, cfg)
     model = fit_implied_intensity(table)
     for i in (0, 7, 19):
-        r = sample_realization(specs, model, i, cfg.master_seed, cfg.correlation_mode)
+        r = sample_realization(p, model, i, cfg.master_seed, cfg.correlation_mode)
         assert np.array_equal(np.array(r.emissions.values), result.matrix[i])
 
 
@@ -485,6 +494,17 @@ def test_seed_42_bands_are_pinned(table):
             assert b.value(year, p) == pytest.approx(want, rel=1e-9)
 
 
+def test_readme_library_use_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    p5, mean, p95 = map(float, capsys.readouterr().out.split())
+    # the seed-42 run pinned above
+    assert p5 == pytest.approx(112.27212200064794, rel=1e-9)
+    assert p95 == pytest.approx(139.87285353540113, rel=1e-9)
+    assert p5 < mean < p95
+
+
 def test_widening_halfwidths_weakly_widen_bands(table):
     widths = {}
     for hw in (0.05, 0.10, 0.15):
@@ -494,6 +514,15 @@ def test_widening_halfwidths_weakly_widen_bands(table):
         widths[hw] = [b.value(y, 95.0) - b.value(y, 5.0) for y in table.years]
     for small, big in ((0.05, 0.10), (0.10, 0.15)):
         assert all(w2 >= w1 for w1, w2 in zip(widths[small], widths[big]))
+
+
+def test_bands_mean_overflow_names_the_first_year():
+    # finite columns whose sum overflows; a column that is not finite
+    # already keeps its non-finite mean
+    matrix = np.array([[1.0, 1e308, 1e308, np.inf], [2.0, 1.5e308, 1.5e308, 1.0]])
+    with pytest.raises(OverflowError, match="year 2021"):
+        bands_from_matrix(matrix, (2020, 2021, 2022, 2023), (50.0,))
+    assert bands_from_matrix(matrix[:, [0, 3]], (2020, 2023), (50.0,)).mean[1] == np.inf
 
 
 def test_bands_empty_ensemble():

@@ -28,6 +28,7 @@ from emisim.ingest import (
     equivalent_homes,
     inference_energy,
     inference_table_to_csv_text,
+    load_bundle,
     parse_driver_csv,
     parse_driver_csv_text,
     parse_inference_table_text,
@@ -192,6 +193,59 @@ def test_series_json_alternative(tmp_path):
     series = parse_series_csv(path, Unit.TWH)
     assert series.unit is Unit.MT_CO2
     assert series.points == ((2020, 1.0), (2021, 2.0))
+
+
+_JSON_READERS = [
+    parse_driver_csv,
+    lambda path: parse_series_csv(path, Unit.TWH),
+    load_bundle,
+]
+# numbers that no int or float holds, at the edges of the ones that fit
+_json_numbers = (st.integers(min_value=-(10**20), max_value=10**20) | st.floats()
+                 | st.sampled_from([10**400, -(10**400), 1e308, 2020, 0.5]))
+_json_leaves = st.none() | st.booleans() | _json_numbers | st.text(max_size=8)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=4),
+    max_leaves=12,
+)
+# documents shaped like each reader's input, so that conversion runs deep
+_points = st.lists(st.lists(_json_numbers, min_size=2, max_size=2) | _json_values, max_size=4)
+_driver_rows = st.lists(st.fixed_dictionaries({k: _json_numbers | _json_values
+                                                for k in DRIVER_HEADER.split(",")}), max_size=3)
+_trajectory = st.fixed_dictionaries({
+    "name": st.sampled_from(["Surge", "Horizon"]) | _json_values,
+    "family": st.sampled_from(["Shell", "IEA"]) | _json_values,
+    "unit": st.sampled_from(["MtCO2", "TWh", "fraction"]) | _json_values,
+    "points": _points,
+})
+_json_documents = (
+    _json_values
+    | st.fixed_dictionaries({"rows": _driver_rows}) | _driver_rows
+    | st.fixed_dictionaries({"unit": st.sampled_from(["TWh", "fraction"]) | _json_values,
+                             "points": _points}) | _points
+    | st.fixed_dictionaries({"trajectories": st.lists(_trajectory, max_size=3)})
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_documents.map(json.dumps) | st.text(max_size=40))
+@example("[" * 100_000)
+@example('{"rows": [{"year": 1e999, "semis_twh": 1, "dc_twh": 1, "mix_factor": 0.5, '
+         '"ai_share": 0.5, "co2_mt": 1}]}')
+@example('{"trajectories": [{"name": "Surge", "family": "Shell", "unit": "MtCO2", '
+         '"points": [[2020, ' + "9" * 400 + ']]}]}')
+def test_json_readers_raise_only_emisim_or_value_errors(tmp_path_factory, text):
+    # the CLI ends either with exit 2 and one line; anything else is a
+    # traceback or exit 4
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    for read in _JSON_READERS:
+        try:
+            read(path)
+        except (EmisimError, ValueError):
+            pass
 
 
 # ---------------------------------------------------------------------------
