@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 I/O failure,
 4 numeric failure. :func:`main` alone turns a failure into an exit code and
 one stderr line: an ``EmisimError`` ends with its own ``exit_code``, a
-``ValueError`` with 2, an ``ArithmeticError`` with 4, an ``OSError`` with 3.
-All file writes are atomic (temp file + rename), so a failing run never
-leaves partial outputs behind.
+``ValueError`` or ``MemoryError`` with 2, an ``ArithmeticError`` with 4, an
+``OSError`` with 3. All file writes are atomic (temp file + rename), so a
+failing run never leaves partial outputs behind.
 
 The ``simulate --config`` JSON file has exactly the schema of the ``config``
 block of a run manifest, so ``simulate --input T --config <that block>``
@@ -31,11 +31,11 @@ from . import __version__
 from .core import (
     DRIVER_VARIABLES,
     CorrelationMode,
+    DriverTable,
     ModelKind,
     SimulationConfig,
     converted,
     mean_scenario,
-    validate_percentiles,
 )
 from .ensemble import RNG_STREAM, bands, bands_from_matrix, run_simulation
 from .errors import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EmisimError
@@ -47,6 +47,7 @@ from .ingest import (
     equivalent_homes,
     inference_energy,
     load_bundle,
+    parse_bundle_or_driver_table,
     parse_driver_csv,
     parse_matrix_csv_text,
     read_json,
@@ -154,9 +155,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_emissions(args) -> int:
-    is_bundle = Path(args.input).suffix.lower() == ".json"
-    source = load_bundle(args.input) if is_bundle else parse_driver_csv(args.input)
-    if not is_bundle:
+    source = parse_bundle_or_driver_table(args.input)
+    if isinstance(source, DriverTable):
         model = fit_model(source, _MODEL_NAMES[args.model or "intensity"])
         points = list(zip(source.years, predict_table(model, source).tolist()))
         text = csv_text(("year", "mean"), ((str(y), repr(v)) for y, v in points))
@@ -229,9 +229,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    percentiles = validate_percentiles(args.percentiles or SimulationConfig.percentiles)
     years, matrix = parse_matrix_csv_text(read_text(args.input))
-    band = bands_from_matrix(matrix, years, percentiles)
+    band = bands_from_matrix(matrix, years, args.percentiles or SimulationConfig.percentiles)
     _emit(args, band.to_csv_text(), band.to_dict())
     return EXIT_OK
 
@@ -278,7 +277,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("emissions", help="emission trajectory per scenario plus the mean")
-    p.add_argument("--input", required=True, help="scenario bundle JSON or driver CSV")
+    p.add_argument("--input", required=True, help="scenario bundle JSON or driver CSV (or JSON)")
     p.add_argument("--model", choices=sorted(_MODEL_NAMES), help="model for driver-table input")
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -351,11 +350,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EmisimError, ValueError, ArithmeticError) as exc:
+    except (EmisimError, ValueError, MemoryError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, EmisimError):
             return exc.exit_code
-        return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_NUMERIC
+        return EXIT_NUMERIC if isinstance(exc, ArithmeticError) else EXIT_VALIDATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

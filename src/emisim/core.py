@@ -1,9 +1,9 @@
 """Domain types and scenario algebra.
 
-Everything here is an immutable value object: annual series, scenario
-trajectories, the driver table, and the simulation configuration, plus the
-three operations shared by the rest of the package (mean scenario, scenario
-alignment, driver-table validation).
+Everything here is an immutable value object, validated on construction:
+annual series, scenario trajectories, the driver table, and the simulation
+configuration, plus the three operations shared by the rest of the package
+(mean scenario, scenario alignment, driver-table validation).
 """
 
 from __future__ import annotations
@@ -68,14 +68,12 @@ FRACTION_VARIABLES = ("mix_factor", "ai_share")
 class AnnualSeries:
     """Ordered map year -> value with a declared unit.
 
-    Years must be strictly increasing (and gap-free when ``contiguous`` is
-    set). Values must be finite, non-negative for energy/mass units, and
-    inside [0, 1] for fractions.
+    Years must be strictly increasing. Values must be finite, non-negative
+    for energy/mass units, and inside [0, 1] for fractions.
     """
 
     unit: Unit
     points: tuple[tuple[int, float], ...]
-    contiguous: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -83,14 +81,9 @@ class AnnualSeries:
             "points",
             tuple((int(y), float(v)) for y, v in self.points),
         )
-        prev = None
-        for year, value in self.points:
-            if prev is not None:
-                if year <= prev:
-                    raise ValueError(f"years not strictly increasing at {year}")
-                if self.contiguous and year != prev + 1:
-                    raise ValueError(f"gap between {prev} and {year}")
-            prev = year
+        for i, (year, value) in enumerate(self.points):
+            if i and year <= self.points[i - 1][0]:
+                raise ValueError(f"years not strictly increasing at {year}")
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value at year {year}")
             if self.unit is Unit.FRACTION:
@@ -143,13 +136,13 @@ class DriverRow:
 
 @dataclass(frozen=True)
 class DriverTable:
-    """Per-year driver tuples plus observed CO2.
-
-    Construction does not validate; run :func:`validate_driver_table` to get
-    a full report of any violated rows.
-    """
+    """Per-year driver tuples plus observed CO2; construction validates them
+    with :func:`validate_driver_table`, which reports every violated row."""
 
     rows: tuple[DriverRow, ...]
+
+    def __post_init__(self):
+        validate_driver_table(self)
 
     @classmethod
     def from_rows(cls, rows: Iterable[DriverRow]) -> "DriverTable":
@@ -354,10 +347,11 @@ def align_scenarios(bundle: Sequence[ScenarioTrajectory]) -> list[ScenarioTrajec
 # Mean scenario
 # ---------------------------------------------------------------------------
 
-def mean_series(series: Sequence[AnnualSeries]) -> AnnualSeries:
-    """Pointwise arithmetic mean over the intersection of years."""
-    if not series:
-        raise EmptyInputError("no series to average")
+def mean_scenario(trajectories: Sequence[ScenarioTrajectory]) -> AnnualSeries:
+    """Pointwise arithmetic mean of the trajectories over the years they share."""
+    if not trajectories:
+        raise EmptyInputError("no trajectories to average")
+    series = [t.series for t in trajectories]
     unit = series[0].unit
     for s in series[1:]:
         if s.unit is not unit:
@@ -377,13 +371,6 @@ def mean_series(series: Sequence[AnnualSeries]) -> AnnualSeries:
         mean = lo if lo == hi else math.fsum(values) / n
         points.append((year, mean))
     return AnnualSeries(unit, tuple(points))
-
-
-def mean_scenario(trajectories: Sequence[ScenarioTrajectory]) -> AnnualSeries:
-    """Mean trajectory of a scenario bundle over their common year window."""
-    if not trajectories:
-        raise EmptyInputError("no trajectories to average")
-    return mean_series([t.series for t in trajectories])
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .core import (
     ModelKind,
     SimulationConfig,
     Unit,
-    validate_driver_table,
+    validate_percentiles,
 )
 from .errors import (
     EmptyEnsembleError,
@@ -172,7 +172,6 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> Perturb
     halfwidth gives absolute per-year halfwidths. Either way sigma is the
     halfwidth divided by the two-sided normal quantile of ``ci_level``.
     """
-    validate_driver_table(table)
     z = two_sided_z(config.ci_level)
     means = [table.column(name) for name in DRIVER_VARIABLES]
     sigmas = []
@@ -267,7 +266,6 @@ class EnsembleResult:
 
     matrix: np.ndarray
     years: tuple[int, ...]
-    master_seed: int
     config: SimulationConfig
     clamped_draws: int
     clamped_predictions: int
@@ -299,14 +297,13 @@ def run_simulation(
     ``workers`` is kept for compatibility; neither the output nor the speed
     depends on it.
     """
-    validate_driver_table(table)
     if model is None:
         model = fit_model(table, config.model_kind)
     perturbation = build_perturbations(table, config)
     matrix, clamped, pred_clamped = _simulate_rows(
         perturbation, model, config.master_seed, 0, config.realizations, config.correlation_mode
     )
-    return EnsembleResult(matrix, table.years, config.master_seed, config, clamped, pred_clamped)
+    return EnsembleResult(matrix, table.years, config, clamped, pred_clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +314,27 @@ def _order_statistics(sorted_rows: np.ndarray, percentiles) -> np.ndarray:
     """Percentiles of each row of ``sorted_rows`` (sorted along its last
     axis), shape ``(rows, len(percentiles))``: with rank
     ``r = p / 100 * (n - 1)``, the value at ``floor(r)`` plus ``r - floor(r)``
-    times the step to the next order statistic."""
+    times the step to the next order statistic. Where that is not finite,
+    equal ends or a zero fraction give the lower end; others interpolate halved ends."""
     n = sorted_rows.shape[-1]
     ranks = np.asarray(percentiles, dtype=float) / 100.0 * (n - 1)
     lo = np.floor(ranks).astype(np.intp)
+    frac = ranks - lo
     below = sorted_rows[:, lo]
     above = sorted_rows[:, np.minimum(lo + 1, n - 1)]
-    return below + (ranks - lo) * (above - below)
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = below + frac * (above - below)
+        halves = 2.0 * (below / 2.0 + frac * (above / 2.0 - below / 2.0))
+        ends = np.where((below == above) | (frac == 0.0), below, halves)
+    return np.where(np.isfinite(levels), levels, ends)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
     """Linear-interpolation percentile of ``values`` for p in (0, 100)."""
     if len(values) == 0:
         raise EmptyInputError("percentile of empty list")
-    if not 0.0 < p < 100.0:
-        raise ValueError(f"percentile {p} outside (0, 100)")
-    return float(_order_statistics(np.sort(np.asarray(values, dtype=float))[None, :], (p,))[0, 0])
+    ranked = np.sort(np.asarray(values, dtype=float))[None, :]
+    return float(_order_statistics(ranked, validate_percentiles((p,)))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -345,7 +347,7 @@ class PercentileBands:
     mean: np.ndarray    # (n_years,)
 
     def __post_init__(self):
-        if np.any(np.diff(self.levels, axis=1) < 0.0):
+        if np.any(self.levels[:, 1:] < self.levels[:, :-1]):  # inf - inf would warn
             raise ValueError("band values must be non-decreasing in percentile")
 
     def value(self, year: int, p: float) -> float:
@@ -370,17 +372,18 @@ class PercentileBands:
 
 def bands_from_matrix(matrix: np.ndarray, years, percentiles) -> PercentileBands:
     """Percentile bands and mean of each column of a (realizations x years)
-    matrix; the mean of a finite column that overflows raises OverflowError."""
+    matrix. Percentiles outside (0, 100) or not strictly increasing raise
+    ValueError, and a finite column whose mean overflows OverflowError."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise EmptyEnsembleError("cannot take percentiles of an empty ensemble")
-    percentiles = tuple(float(p) for p in percentiles)
+    percentiles = validate_percentiles(percentiles)
     # one C-contiguous row per year, whatever the input layout: numpy sums a
     # row pairwise only along contiguous memory, so the means stay bit-exact
     columns = np.array(matrix.T, order="C")
     columns.sort(axis=1)
     levels = _order_statistics(columns, percentiles)
-    with np.errstate(over="ignore"):  # an overflow is raised below, with its year
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by year
         # constant columns keep the degenerate (sigma = 0) collapse bit-exact
         means = np.where(columns[:, 0] == columns[:, -1], columns[:, 0], columns.mean(axis=1))
     # a sorted column is finite iff its ends are

@@ -9,7 +9,8 @@ File formats (UTF-8, LF, decimal point, no thousands separators):
 * matrix CSV: a header of years, then one row per realization
 
 JSON files with the same keys are accepted wherever a CSV is, dispatched on
-the ``.json`` extension.
+the ``.json`` extension; where a bundle is accepted too, a JSON object with a
+``"trajectories"`` key is a bundle and any other document a driver table.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .core import (
     ScenarioFamily,
     ScenarioTrajectory,
     Unit,
-    validate_driver_table,
 )
 from .errors import NegativeInputError, SchemaError, UnknownTaskError
 
@@ -120,7 +120,7 @@ def parse_driver_csv_text(text: str) -> DriverTable:
             for i in range(1, len(DRIVER_HEADER))
         ]
         out.append(DriverRow(year, *values))
-    return validate_driver_table(DriverTable.from_rows(out))
+    return DriverTable.from_rows(out)
 
 
 def parse_series_csv_text(text: str, unit: Unit) -> AnnualSeries:
@@ -214,7 +214,7 @@ def _driver_table_from_json(doc) -> DriverTable:
         out.append(DriverRow(int(row["year"]), *(float(row[k]) for k in DRIVER_HEADER[1:])))
     if not out:
         raise SchemaError(1, 1, "no data rows")
-    return validate_driver_table(DriverTable.from_rows(out))
+    return DriverTable.from_rows(out)
 
 
 def parse_driver_csv(path: str | Path) -> DriverTable:
@@ -223,6 +223,14 @@ def parse_driver_csv(path: str | Path) -> DriverTable:
     if path.suffix.lower() == ".json":
         return read_json(path, _driver_table_from_json)
     return parse_driver_csv_text(read_text(path))
+
+
+def parse_bundle_or_driver_table(path: str | Path) -> ScenarioBundle | DriverTable:
+    """The scenario bundle or else the driver table in ``path``."""
+    if Path(path).suffix.lower() != ".json":
+        return parse_driver_csv(path)
+    return read_json(path, lambda doc: bundle_from_dict(doc) if isinstance(doc, Mapping)
+                     and "trajectories" in doc else _driver_table_from_json(doc))
 
 
 def parse_series_csv(path: str | Path, unit: Unit) -> AnnualSeries:
@@ -400,7 +408,7 @@ def cagr_project(base: float, annual_rate: float, years: int, start_year: int = 
     from ``start_year``."""
     cagr_value(base, annual_rate, years)  # if any value overflows, the last one does
     points = tuple((start_year + t, base * (1.0 + annual_rate) ** t) for t in range(years + 1))
-    return AnnualSeries(unit, points, contiguous=True)
+    return AnnualSeries(unit, points)
 
 
 def doubling_project(base: float, doubling_months: float, horizon_months: float) -> float:

@@ -1,0 +1,25 @@
+"""The benchmark in ``bench/`` run as a test, so that a change which renames
+or re-signs a function the benchmark wraps fails here as well as there."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_workload_runs_and_passes_its_checks():
+    # this workload goes through CountingModel, the --workers 2 reference run
+    # and every function that bench/worker.py wraps (--trace 1)
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "simulate-per-year-regression",
+         "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    lines = proc.stdout.strip().splitlines()
+    assert lines, proc.stderr
+    summary = json.loads(lines[-1])
+    assert summary["correct"] is True, proc.stderr
+    assert summary["failed"] == 0
+    assert proc.returncode == 0

@@ -144,6 +144,24 @@ def test_emissions_from_bundle_has_mean_column(tmp_path):
     assert float(final[-1]) == 126.25
 
 
+@pytest.mark.parametrize("model", ["intensity", "regression"])
+def test_emissions_from_driver_table_json_matches_csv(tmp_path, model):
+    # a JSON document without a "trajectories" key is a driver table
+    header, rows = _read_rows(TABLE)
+    doc = {"rows": [{k: (int if k == "year" else float)(v) for k, v in zip(header, row)}
+                    for row in rows]}
+    table_json = tmp_path / "table.json"
+    table_json.write_text(json.dumps(doc))
+    from_csv, from_json = tmp_path / "csv.out", tmp_path / "json.out"
+    assert main(["emissions", "--input", TABLE, "--model", model, "--out", str(from_csv)]) == 0
+    assert main(["emissions", "--input", str(table_json), "--model", model,
+                 "--out", str(from_json)]) == 0
+    assert from_json.read_bytes() == from_csv.read_bytes()
+    if model == "intensity":
+        assert _sha256(from_json) == (
+            "df9a5127881353bfb2fe155feed4669ff6e9e33b55387265059d6f7dfded91c1")
+
+
 def test_emissions_empty_bundle(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"trajectories": []}')
@@ -522,6 +540,12 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               named=["b.json"]),
         _case("config-deep-nesting", "simulate --input TABLE --config cfg.json",
               {"cfg.json": _DEEP_JSON}, named=["cfg.json"]),
+        _case("bands-four-huge-values", "bands --input m.csv --out b.csv",
+              {"m.csv": "2020\n-1.5e308\n-1e308\n1e308\n1.5e308\n"}, code=4,
+              named=["OverflowError", "2020"]),
+        # 455 PiB of drivers: beyond any address space, refused before a page is touched
+        _case("realizations-beyond-memory", f"simulate --input TABLE --realizations {10**15}",
+              named=["MemoryError"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
@@ -619,6 +643,7 @@ _MATRIX_CELLS = [
     (["0x10,2", "3,4"], None),
     (["1_0,2", "3,4"], None),
     (["\u0661,2", "3,4"], None),
+    (["-1e308,inf", "1e308,inf"], [[-1e308, math.inf], [1e308, math.inf]]),
 ]
 
 

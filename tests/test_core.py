@@ -51,10 +51,7 @@ def test_series_years_strictly_increasing():
 
 
 def test_series_contiguous_flag():
-    AnnualSeries(Unit.TWH, ((2020, 1.0), (2021, 2.0)), contiguous=True)
-    with pytest.raises(ValueError):
-        AnnualSeries(Unit.TWH, ((2020, 1.0), (2022, 2.0)), contiguous=True)
-    # without the flag gaps are fine
+    # a series may have gaps; year contiguity is a driver-table rule
     AnnualSeries(Unit.TWH, ((2020, 1.0), (2022, 2.0)))
 
 
@@ -213,30 +210,26 @@ def test_bundled_table_is_valid():
 
 
 def test_fraction_out_of_range():
-    table = DriverTable.from_rows([_row(), _row(year=2021, mix=1.3)])
     with pytest.raises(FractionOutOfRangeError) as exc:
-        validate_driver_table(table)
+        DriverTable.from_rows([_row(), _row(year=2021, mix=1.3)])
     assert "2021" in str(exc.value)
 
 
 def test_gap_in_years():
-    table = DriverTable.from_rows([_row(year=2020), _row(year=2022)])
     with pytest.raises(GapInYearsError):
-        validate_driver_table(table)
+        DriverTable.from_rows([_row(year=2020), _row(year=2022)])
 
 
 def test_non_positive_value():
-    table = DriverTable.from_rows([_row(dc=0.0)])
     with pytest.raises(NonPositiveValueError):
-        validate_driver_table(table)
+        DriverTable.from_rows([_row(dc=0.0)])
 
 
 def test_report_lists_every_violation():
-    table = DriverTable.from_rows(
-        [_row(year=2020, mix=1.5), _row(year=2022, dc=-3.0), _row(year=2023, ai=2.0)]
-    )
     with pytest.raises(FractionOutOfRangeError) as exc:
-        validate_driver_table(table)
+        DriverTable.from_rows(
+            [_row(year=2020, mix=1.5), _row(year=2022, dc=-3.0), _row(year=2023, ai=2.0)]
+        )
     message = str(exc.value)
     assert "mix_factor" in message and "dc_twh" in message and "ai_share" in message
     assert len(exc.value.violations) == 4  # three value violations plus the year gap

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -371,7 +372,7 @@ def test_ensemble_result_validates_matrix(table):
     cfg = _config(realizations=2)
     bad = np.array([[1.0] * 16, [-1.0] * 16])
     with pytest.raises(ValueError):
-        EnsembleResult(bad, table.years, 42, cfg, 0, 0)
+        EnsembleResult(bad, table.years, cfg, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +529,49 @@ def test_bands_mean_overflow_names_the_first_year():
 def test_bands_empty_ensemble():
     with pytest.raises(EmptyEnsembleError):
         bands_from_matrix(np.empty((0, 3)), (2020, 2021, 2022), (5.0, 50.0, 95.0))
+
+
+@pytest.mark.parametrize(
+    "percentiles,fault",
+    [([-5.0], "percentile -5.0 outside (0, 100)"),
+     ([150.0], "percentile 150.0 outside (0, 100)"),
+     ([95.0, 5.0], "percentiles must be strictly increasing")],
+)
+def test_bands_rejects_bad_percentiles(table, percentiles, fault):
+    result = run_simulation(table, _config(realizations=100))
+    with pytest.raises(ValueError) as exc:
+        bands(result, percentiles)
+    assert str(exc.value) == fault
+
+
+def test_order_statistics_meet_overflow_and_infinities():
+    # the step from -1e308 to 1e308 overflows; inf - inf is not a number
+    b = bands_from_matrix(np.array([[-1e308, np.inf], [1e308, np.inf]]), (2020, 2021),
+                          (5.0, 50.0, 95.0))
+    assert b.levels.tolist() == [[-9e307, 0.0, 8.999999999999999e307], [np.inf] * 3]
+    assert b.mean.tolist() == [0.0, np.inf]
+    # a zero fraction takes the order statistic itself, not 2.0 + 0 * inf
+    column = np.array([[1.0], [2.0], [np.inf]])
+    assert bands_from_matrix(column, (2020,), (50.0,)).levels[0, 0] == 2.0
+    # both infinities: no number, and no warning either
+    b = bands_from_matrix(np.array([[-np.inf], [np.inf]]), (2020,), (50.0,))
+    assert np.isnan(b.levels[0, 0]) and np.isnan(b.mean[0])
+
+
+# Integers and one division: the band bytes depend on IEEE arithmetic alone,
+# not on libm, so they hold on every machine.
+_INTEGER_MATRIX = ((np.arange(16000) * 7919) % 1009).reshape(1000, 16) / 7.0
+
+
+@pytest.mark.parametrize(
+    "percentiles,digest",
+    [((5.0, 50.0, 95.0), "c195888355f538b6f643406f97da20d9ad6cda4278cf51e4fc2040ac937ad1bb"),
+     ((0.1, 2.5, 50.0, 97.5, 99.9),
+      "16c550c3861d56024835212e487c913c98b4ca5cc98ca2c1029e075bc15756a0")],
+)
+def test_band_bytes_are_pinned(percentiles, digest):
+    text = bands_from_matrix(_INTEGER_MATRIX, range(2020, 2036), percentiles).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_bands_csv_layout(table):
