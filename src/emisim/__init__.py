@@ -29,7 +29,6 @@ from .ensemble import (
     ci_to_sigma,
     percentile,
     run_simulation,
-    sample_realization,
     sigma_to_ci,
 )
 from .ingest import (
@@ -96,7 +95,6 @@ __all__ = [
     "parse_series_csv",
     "percentile",
     "run_simulation",
-    "sample_realization",
     "sigma_to_ci",
     "validate_driver_table",
     "__version__",

@@ -64,6 +64,22 @@ DRIVER_VARIABLES = ("semis_twh", "dc_twh", "mix_factor", "ai_share")
 FRACTION_VARIABLES = ("mix_factor", "ai_share")
 
 
+def as_number(value) -> float:
+    """``float(value)``, except that a bool is not a number: ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def as_year(value) -> int:
+    """``value`` as a year: an integer, or a number without a fractional
+    part. A bool, or a number with a fractional part, raises ValueError."""
+    number = as_number(value)
+    if not number.is_integer():
+        raise ValueError(f"year {value!r} is not an integer")
+    return int(value) if isinstance(value, int) else int(number)
+
+
 @dataclass(frozen=True)
 class AnnualSeries:
     """Ordered map year -> value with a declared unit.
@@ -79,7 +95,7 @@ class AnnualSeries:
         object.__setattr__(
             self,
             "points",
-            tuple((int(y), float(v)) for y, v in self.points),
+            tuple((as_year(y), as_number(v)) for y, v in self.points),
         )
         for i, (year, value) in enumerate(self.points):
             if i and year <= self.points[i - 1][0]:
@@ -176,7 +192,7 @@ def _halfwidth_to_dict(spec: HalfwidthSpec):
 def _halfwidth_from_dict(spec) -> HalfwidthSpec:
     if isinstance(spec, Mapping):
         return AnnualSeries(Unit(spec.get("unit", Unit.TWH.value)), tuple(spec["points"]))
-    return float(spec)
+    return as_number(spec)
 
 
 def converted(key: str, convert, value):
@@ -194,7 +210,7 @@ def validate_percentiles(percentiles) -> tuple[float, ...]:
     increasing, or ValueError is raised."""
     if isinstance(percentiles, str):
         raise ValueError(f"expected a list of percentiles, got the string {percentiles!r}")
-    percentiles = tuple(float(p) for p in percentiles)
+    percentiles = tuple(as_number(p) for p in percentiles)
     for p in percentiles:
         if not 0.0 < p < 100.0:
             raise ValueError(f"percentile {p} outside (0, 100)")
@@ -248,7 +264,7 @@ class SimulationConfig:
             if key in doc and type(doc[key]) is not int:
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         convert = {
-            "ci_level": float,
+            "ci_level": as_number,
             "halfwidths": lambda hw: {k: converted(k, _halfwidth_from_dict, v) for k, v in hw.items()},
             "correlation_mode": CorrelationMode,
             "percentiles": validate_percentiles,

@@ -1,6 +1,8 @@
 """Seeded Monte Carlo ensemble over driver trajectories.
 
-The sampling contract:
+:func:`run_simulation` is the one sampler: it perturbs, clamps and predicts
+every realization, and realization ``i`` is row ``i`` of its matrix. The
+sampling contract:
 
 * the standard normal in slot ``j`` of realization ``i`` is a pure function
   of ``(master_seed, i, j)``, computed by one vectorized counter-based kernel
@@ -38,7 +40,6 @@ from .core import (
     DriverTable,
     ModelKind,
     SimulationConfig,
-    Unit,
     validate_percentiles,
 )
 from .errors import (
@@ -58,7 +59,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _GAMMA = np.uint64(_SPLITMIX_GAMMA)
 # Elements of the widest per-row array (normals or one driver) per block of
-# rows in _simulate_rows; bounds its temporaries, not its output.
+# rows in run_simulation; bounds its temporaries, not its output.
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -69,13 +70,6 @@ def _splitmix64(state: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def substream_seed(master_seed: int, index: int) -> int:
-    """The (index+1)-th output of a SplitMix64 stream whose state starts at
-    ``master_seed``."""
-    state = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
-    return int(_splitmix64(np.array([state], dtype=np.uint64))[0])
-
-
 def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> np.ndarray:
     """Standard normals of realizations ``start .. stop - 1``, shape
     ``(stop - start, n_slots)``; entry (i, j) depends only on
@@ -83,21 +77,24 @@ def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> n
 
     A counter-based stream (Salmon et al., "Parallel random numbers: as easy
     as 1, 2, 3", SC'11) built on SplitMix64 (Steele, Lea & Flood, OOPSLA'14)
-    whose state starts at ``substream_seed(master_seed, 0)``. Realization
-    ``i`` owns the pair counters ``i * n_pairs .. (i + 1) * n_pairs - 1``
-    with ``n_pairs = ceil(n_slots / 2)``. Pair counter ``c`` reads stream
+    whose state starts at the first output of a SplitMix64 stream seeded
+    with ``master_seed``. Realization ``i`` owns the pair counters
+    ``i * n_pairs .. (i + 1) * n_pairs - 1`` with
+    ``n_pairs = ceil(n_slots / 2)``. Pair counter ``c`` reads stream
     outputs ``2c + 1`` and ``2c + 2`` as the 53-bit uniforms ``u1`` in
     (0, 1] and ``u2`` in [0, 1), and Box-Muller turns them into slots
     ``2k = r cos(2 pi u2)`` and ``2k + 1 = r sin(2 pi u2)`` of its
     realization, with ``r = sqrt(-2 ln u1)``. Its temporaries grow with
-    ``stop - start``; :func:`_simulate_rows` bounds them by its row blocks.
+    ``stop - start``; :func:`run_simulation` bounds them by its row blocks.
     """
     n_pairs = -(-n_slots // 2)
     # allocated before the temporaries: after them, it raised the peak RSS
     # of a per-year simulate
     out = np.empty(((stop - start) * n_pairs, 2))
     counters = np.arange(start * n_pairs, stop * n_pairs, dtype=np.uint64)
-    state = np.uint64(substream_seed(master_seed, 0)) + (2 * counters + 1) * _GAMMA
+    # an array, not a scalar: numpy warns when a scalar product wraps
+    first = _splitmix64(np.array([(master_seed + _SPLITMIX_GAMMA) & _MASK64], dtype=np.uint64))
+    state = first + (2 * counters + 1) * _GAMMA
     u1 = ((_splitmix64(state) >> 11) + 1) * 2.0**-53
     u2 = (_splitmix64(state + _GAMMA) >> 11) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u1))
@@ -108,22 +105,15 @@ def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> n
 
 
 # ---------------------------------------------------------------------------
-# Standard-normal quantile
+# Confidence intervals
 # ---------------------------------------------------------------------------
 
-def normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal distribution on (0, 1): Wichura's
-    AS241 (1988), as implemented by :meth:`statistics.NormalDist.inv_cdf`."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument {p} outside (0, 1)")
-    return NormalDist().inv_cdf(p)
-
-
 def two_sided_z(level: float) -> float:
-    """z such that P(|Z| <= z) = level for standard normal Z."""
+    """z such that P(|Z| <= z) = level for standard normal Z, from Wichura's
+    AS241 (1988) as implemented by :meth:`statistics.NormalDist.inv_cdf`."""
     if not 0.0 < level < 1.0:
         raise InvalidLevelError(f"confidence level {level} outside (0, 1)")
-    return normal_quantile((1.0 + level) / 2.0)
+    return NormalDist().inv_cdf((1.0 + level) / 2.0)
 
 
 def ci_to_sigma(halfwidth: float, level: float) -> float:
@@ -200,66 +190,6 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> Perturb
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _simulate_rows(perturbation: Perturbation, model, master_seed: int, start: int, stop: int,
-                   mode: CorrelationMode):
-    """Emission matrix of realizations ``start .. stop - 1`` with its clamped
-    draw and prediction counts: ``mean + z * sigma`` per variable, clamped
-    to the variable bounds, then one ``predict_grid`` call.
-
-    The draws are made in blocks of rows written straight into the driver
-    arrays, so besides those arrays and the model's output only one block
-    of normals is held at a time."""
-    n_vars, n_years = perturbation.mean.shape
-    n_slots = n_vars * (n_years if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 1)
-    n_rows = stop - start
-    # (variable, year, realization): each driver is a column-major
-    # (realizations x years) view, which keeps numpy's inner loops long
-    # when z has one column, and a block of rows is one slice for all four
-    drivers = np.empty((n_vars, n_years, n_rows))
-    sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
-    lower, upper = perturbation.lower[:, None, None], perturbation.upper[:, None, None]
-    step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
-    clamped = 0
-    for lo in range(0, n_rows, step):
-        hi = min(lo + step, n_rows)
-        z = standard_normals(master_seed, start + lo, start + hi, n_slots)
-        raw = drivers[:, :, lo:hi]
-        np.multiply(z.reshape(hi - lo, n_vars, -1).transpose(1, 2, 0), sigma, out=raw)
-        raw += mean
-        clamped += int(np.count_nonzero((raw < lower) | (raw > upper)))
-        np.clip(raw, lower, upper, out=raw)
-    matrix = model.predict_grid(perturbation.years, *(driver.T for driver in drivers))
-    pred_clamped = (
-        int(np.count_nonzero(matrix == 0.0)) if model.kind is ModelKind.LINEAR_REGRESSION else 0
-    )
-    return matrix, clamped, pred_clamped
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One sampled emission trajectory and its clamp count."""
-
-    emissions: AnnualSeries
-    clamped_draws: int
-    clamped_predictions: int
-
-
-def sample_realization(
-    perturbation: Perturbation,
-    model: EmissionModel,
-    realization_index: int,
-    master_seed: int,
-    correlation_mode: CorrelationMode = CorrelationMode.CORRELATED_PER_VARIABLE,
-) -> Realization:
-    """Draw one realization; bit-identical to the matching row of
-    :func:`run_simulation` for the same seed and index."""
-    row, clamped, pred_clamped = _simulate_rows(
-        perturbation, model, master_seed, realization_index, realization_index + 1, correlation_mode
-    )
-    emissions = AnnualSeries(Unit.MT_CO2, tuple(zip(perturbation.years, row[0].tolist())))
-    return Realization(emissions, clamped, pred_clamped)
-
-
 @dataclass(frozen=True)
 class EnsembleResult:
     """Realizations x years matrix of Mt CO2 with its provenance."""
@@ -290,18 +220,43 @@ def run_simulation(
     model: EmissionModel | None = None,
     workers: int = 1,
 ) -> EnsembleResult:
-    """Evaluate the full ensemble.
+    """Evaluate the full ensemble: ``mean + z * sigma`` per driver variable,
+    clamped to the variable bounds, then one ``predict_grid`` call.
 
     The result is a pure function of ``(table, config)``: each row depends
-    only on its own realization index (see :func:`standard_normals`).
-    ``workers`` is kept for compatibility; neither the output nor the speed
-    depends on it.
+    only on its own realization index (see :func:`standard_normals`), so a
+    larger ensemble keeps the rows of a smaller one. The draws are made in
+    blocks of rows written straight into the driver arrays, so besides those
+    arrays and the model's output only one block of normals is held at a
+    time. ``workers`` is kept for compatibility; neither the output nor the
+    speed depends on it.
     """
     if model is None:
         model = fit_model(table, config.model_kind)
     perturbation = build_perturbations(table, config)
-    matrix, clamped, pred_clamped = _simulate_rows(
-        perturbation, model, config.master_seed, 0, config.realizations, config.correlation_mode
+    n_vars, n_years = perturbation.mean.shape
+    per_year = config.correlation_mode is CorrelationMode.INDEPENDENT_PER_YEAR
+    n_slots = n_vars * (n_years if per_year else 1)
+    # (variable, year, realization): each driver is a column-major
+    # (realizations x years) view, which keeps numpy's inner loops long
+    # when z has one column, and a block of rows is one slice for all four
+    drivers = np.empty((n_vars, n_years, config.realizations))
+    sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
+    lower, upper = perturbation.lower[:, None, None], perturbation.upper[:, None, None]
+    step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
+    clamped = 0
+    for lo in range(0, config.realizations, step):
+        hi = min(lo + step, config.realizations)
+        z = standard_normals(config.master_seed, lo, hi, n_slots)
+        raw = drivers[:, :, lo:hi]
+        np.multiply(z.reshape(hi - lo, n_vars, -1).transpose(1, 2, 0), sigma, out=raw)
+        raw += mean
+        clamped += int(np.count_nonzero((raw < lower) | (raw > upper)))
+        np.clip(raw, lower, upper, out=raw)
+    matrix = model.predict_grid(perturbation.years, *(driver.T for driver in drivers))
+    del drivers, raw  # freed before EnsembleResult's checks add their temporaries to the peak
+    pred_clamped = (
+        int(np.count_nonzero(matrix == 0.0)) if model.kind is ModelKind.LINEAR_REGRESSION else 0
     )
     return EnsembleResult(matrix, table.years, config, clamped, pred_clamped)
 
@@ -315,7 +270,8 @@ def _order_statistics(sorted_rows: np.ndarray, percentiles) -> np.ndarray:
     axis), shape ``(rows, len(percentiles))``: with rank
     ``r = p / 100 * (n - 1)``, the value at ``floor(r)`` plus ``r - floor(r)``
     times the step to the next order statistic. Where that is not finite,
-    equal ends or a zero fraction give the lower end; others interpolate halved ends."""
+    equal ends or a zero fraction give the lower end, one infinite end gives
+    that end, and others interpolate halved ends."""
     n = sorted_rows.shape[-1]
     ranks = np.asarray(percentiles, dtype=float) / 100.0 * (n - 1)
     lo = np.floor(ranks).astype(np.intp)
@@ -325,6 +281,8 @@ def _order_statistics(sorted_rows: np.ndarray, percentiles) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         levels = below + frac * (above - below)
         halves = 2.0 * (below / 2.0 + frac * (above / 2.0 - below / 2.0))
+        # halves of finite ends stay finite; where one end is infinite, the sum is that end
+        halves = np.where(np.isfinite(halves), halves, below + above)
         ends = np.where((below == above) | (frac == 0.0), below, halves)
     return np.where(np.isfinite(levels), levels, ends)
 

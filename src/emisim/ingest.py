@@ -35,6 +35,8 @@ from .core import (
     ScenarioFamily,
     ScenarioTrajectory,
     Unit,
+    as_number,
+    as_year,
 )
 from .errors import NegativeInputError, SchemaError, UnknownTaskError
 
@@ -211,7 +213,7 @@ def _driver_table_from_json(doc) -> DriverTable:
         missing = [k for k in DRIVER_HEADER if k not in row]
         if missing:
             raise SchemaError(i, 1, f"row missing key(s) {', '.join(missing)}")
-        out.append(DriverRow(int(row["year"]), *(float(row[k]) for k in DRIVER_HEADER[1:])))
+        out.append(DriverRow(as_year(row["year"]), *(as_number(row[k]) for k in DRIVER_HEADER[1:])))
     if not out:
         raise SchemaError(1, 1, "no data rows")
     return DriverTable.from_rows(out)
@@ -245,7 +247,7 @@ def _series_from_json(doc, unit: Unit) -> AnnualSeries:
     points = doc["points"] if isinstance(doc, Mapping) else doc
     if isinstance(doc, Mapping) and "unit" in doc:
         unit = Unit(doc["unit"])
-    return AnnualSeries(unit, tuple((int(y), float(v)) for y, v in points))
+    return AnnualSeries(unit, tuple(points))
 
 
 def driver_table_to_csv_text(table: DriverTable) -> str:
@@ -282,15 +284,11 @@ class ScenarioBundle:
 def bundle_from_dict(doc: Mapping) -> ScenarioBundle:
     trajectories = []
     for entry in doc["trajectories"]:
-        series = AnnualSeries(
-            Unit(entry["unit"]),
-            tuple((int(y), float(v)) for y, v in entry["points"]),
-        )
         trajectories.append(
             ScenarioTrajectory(
                 name=entry["name"],
                 family=ScenarioFamily(entry["family"]),
-                series=series,
+                series=AnnualSeries(Unit(entry["unit"]), tuple(entry["points"])),
                 provenance=entry.get("provenance", ""),
             )
         )
@@ -406,8 +404,9 @@ def cagr_project(base: float, annual_rate: float, years: int, start_year: int = 
                  unit: Unit = Unit.TWH) -> AnnualSeries:
     """The :func:`cagr_value` of 0 to ``years`` steps, as a series indexed
     from ``start_year``."""
-    cagr_value(base, annual_rate, years)  # if any value overflows, the last one does
-    points = tuple((start_year + t, base * (1.0 + annual_rate) ** t) for t in range(years + 1))
+    if years < 0:
+        raise ValueError("years must be >= 0")
+    points = tuple((start_year + t, cagr_value(base, annual_rate, t)) for t in range(years + 1))
     return AnnualSeries(unit, points)
 
 

@@ -202,8 +202,7 @@ def model_to_json(model: EmissionModel) -> str:
 def model_from_dict(doc: Mapping) -> EmissionModel:
     kind = ModelKind(doc["kind"])
     if kind is ModelKind.IMPLIED_INTENSITY:
-        points = tuple((int(y), float(v)) for y, v in doc["kappa"])
-        return ImpliedIntensityModel(AnnualSeries(Unit.MT_PER_TWH, points))
+        return ImpliedIntensityModel(AnnualSeries(Unit.MT_PER_TWH, tuple(doc["kappa"])))
     diag = doc.get("diagnostics", {})
     return LinearRegressionModel(
         coefficients=tuple(float(b) for b in doc["coefficients"]),

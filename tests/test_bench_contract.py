@@ -6,15 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_benchmark_workload_runs_and_passes_its_checks():
-    # this workload goes through CountingModel, the --workers 2 reference run
-    # and every function that bench/worker.py wraps (--trace 1)
+def _assert_workload_passes(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "simulate-per-year-regression",
-         "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     lines = proc.stdout.strip().splitlines()
@@ -23,3 +23,17 @@ def test_benchmark_workload_runs_and_passes_its_checks():
     assert summary["correct"] is True, proc.stderr
     assert summary["failed"] == 0
     assert proc.returncode == 0
+
+
+def test_benchmark_workload_runs_and_passes_its_checks():
+    # this workload goes through CountingModel, the --workers 2 reference run
+    # and every function that bench/worker.py wraps (--trace 1)
+    _assert_workload_passes("simulate-per-year-regression", "1")
+
+
+# simulate-per-variable checks that per-variable draws are shared across
+# years; matrix-roundtrip that `emisim bands` on the matrix gives simulate's
+# bands byte for byte
+@pytest.mark.parametrize("workload", ["simulate-per-variable", "matrix-roundtrip"])
+def test_benchmark_workload_checks_pass(workload):
+    _assert_workload_passes(workload, "0")

@@ -546,6 +546,22 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
         # 455 PiB of drivers: beyond any address space, refused before a page is touched
         _case("realizations-beyond-memory", f"simulate --input TABLE --realizations {10**15}",
               named=["MemoryError"]),
+        _case("driver-json-fractional-year", "validate --input t.json",
+              {"t.json": '{"rows": [{"year": 2020.7, %s}]}' % _DRIVER_ROW},
+              named=["t.json", "2020.7"]),
+        _case("driver-json-true-value", "validate --input t.json",
+              {"t.json": '{"rows": [{"year": 2020, "semis_twh": 1, "dc_twh": true, '
+                         '"mix_factor": 0.5, "ai_share": 0.5, "co2_mt": 1}]}'},
+              named=["t.json", "True"]),
+        _case("bundle-fractional-year", "mean --input b.json",
+              {"b.json": '{"trajectories": [%s]}' % (_TRAJECTORY % "[[2020.9, 1.0]]")},
+              named=["b.json", "2020.9"]),
+        _case("config-percentile-true", "simulate --input TABLE --config cfg.json",
+              {"cfg.json": '{"percentiles": [true, 50]}'}, named=["percentiles", "True"]),
+        _case("config-halfwidth-true", "simulate --input TABLE --config cfg.json",
+              {"cfg.json": '{"halfwidths": {"semis_twh": true, "dc_twh": 0.1, '
+                           '"mix_factor": 0.1, "ai_share": 0.1}}'},
+              named=["halfwidths", "semis_twh", "True"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri  # independent quantile oracle
 
+import emisim
 from emisim.core import (
     DRIVER_VARIABLES,
     AnnualSeries,
@@ -23,13 +24,11 @@ from emisim.ensemble import (
     bands_from_matrix,
     build_perturbations,
     ci_to_sigma,
-    normal_quantile,
     percentile,
     run_simulation,
-    sample_realization,
     sigma_to_ci,
     standard_normals,
-    substream_seed,
+    two_sided_z,
 )
 from emisim.errors import (
     EmptyEnsembleError,
@@ -61,21 +60,13 @@ def _uniform_halfwidths(fraction):
 # Normal quantile and CI conversion
 # ---------------------------------------------------------------------------
 
-def test_normal_quantile_against_oracle():
-    for p in (1e-6, 0.001, 0.0242, 0.0243, 0.25, 0.5, 0.9, 0.975, 0.995, 1 - 1e-6):
-        assert normal_quantile(p) == pytest.approx(float(ndtri(p)), abs=1e-9)
-
-
-def test_normal_quantile_tabulated_values():
-    assert normal_quantile(0.995) == pytest.approx(2.5758293035489004, abs=1e-9)
-    assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
-    assert normal_quantile(0.5) == 0.0
-
-
-def test_normal_quantile_domain():
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            normal_quantile(p)
+def test_two_sided_z_against_oracle():
+    # 0.9514 and 0.9516 put (1 + level) / 2 on either side of 0.9758 = 1 - 0.0242,
+    # where AS241 leaves its central region for the tail
+    for level in (1e-6, 0.001, 0.25, 0.5, 0.9, 0.95, 0.9514, 0.9516, 0.99, 1 - 2e-6):
+        assert two_sided_z(level) == pytest.approx(float(ndtri((1 + level) / 2)), abs=1e-9)
+    assert two_sided_z(0.99) == pytest.approx(2.5758293035489004, abs=1e-9)
+    assert two_sided_z(0.95) == pytest.approx(1.959963984540054, abs=1e-9)
 
 
 def test_ci_to_sigma_examples():
@@ -186,29 +177,19 @@ def test_build_perturbations_rejects_infinite_sigma(table):
 # Sampling
 # ---------------------------------------------------------------------------
 
-def test_substream_seeds_distinct():
-    seeds = {substream_seed(42, i) for i in range(10_000)}
-    assert len(seeds) == 10_000
-    assert substream_seed(42, 0) != substream_seed(43, 0)
-
-
 def test_sample_realization_deterministic(table):
-    p = build_perturbations(table, _config())
-    model = fit_implied_intensity(table)
-    a = sample_realization(p, model, 5, 42)
-    b = sample_realization(p, model, 5, 42)
-    assert a.emissions.points == b.emissions.points
-    c = sample_realization(p, model, 6, 42)
-    assert c.emissions.points != a.emissions.points
+    a = run_simulation(table, _config(realizations=7)).matrix
+    b = run_simulation(table, _config(realizations=7)).matrix
+    assert np.array_equal(a[5], b[5])
+    assert not np.array_equal(a[6], a[5])
 
 
 def test_sample_realization_sigma_zero_equals_mean_curve(table):
-    cfg = _config(halfwidths=_uniform_halfwidths(0.0))
-    p = build_perturbations(table, cfg)
+    cfg = _config(realizations=1, halfwidths=_uniform_halfwidths(0.0))
+    result = run_simulation(table, cfg)
     model = fit_implied_intensity(table)
-    r = sample_realization(p, model, 0, 42)
-    assert r.emissions.points == tuple(zip(table.years, predict_table(model, table).tolist()))
-    assert r.clamped_draws == 0
+    assert result.matrix[0].tolist() == predict_table(model, table).tolist()
+    assert result.clamped_draws == 0
 
 
 def test_sampled_drivers_respect_bounds_and_clamp_counter(table):
@@ -232,8 +213,8 @@ def test_per_variable_draws_are_systematic_across_years(table):
         z = standard_normals(42, 3, 4, n_slots).reshape(4, -1)
         drivers = [p.mean[k] + z[k] * p.sigma[k] for k in range(4)]
         expected = model.predict_grid(table.years, *drivers)
-        got = sample_realization(p, model, 3, 42, mode)
-        assert np.array_equal(np.array(got.emissions.values), expected)
+        got = run_simulation(table, _config(realizations=4, correlation_mode=mode)).matrix[3]
+        assert np.array_equal(got, expected)
         # fractional halfwidths: a shared z scales every year by the same factor
         ratio = expected / np.asarray(table.column("co2_mt"))
         systematic = np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
@@ -291,14 +272,13 @@ def test_run_simulation_parallel_matches_serial(table):
     )
 
 
-def test_run_simulation_rows_match_sample_realization(table):
-    cfg = _config(realizations=20)
-    result = run_simulation(table, cfg)
-    p = build_perturbations(table, cfg)
-    model = fit_implied_intensity(table)
-    for i in (0, 7, 19):
-        r = sample_realization(p, model, i, cfg.master_seed, cfg.correlation_mode)
-        assert np.array_equal(np.array(r.emissions.values), result.matrix[i])
+def test_larger_ensemble_keeps_the_rows_of_a_smaller_one(table):
+    # realization i is row i of every ensemble with more than i realizations
+    for mode in CorrelationMode:
+        full = run_simulation(table, _config(realizations=20, correlation_mode=mode)).matrix
+        for n in (1, 8, 19):
+            prefix = run_simulation(table, _config(realizations=n, correlation_mode=mode)).matrix
+            assert prefix.tobytes() == full[:n].tobytes()
 
 
 @pytest.mark.parametrize("mode", list(CorrelationMode))
@@ -506,6 +486,10 @@ def test_readme_library_use_runs_as_written(capsys):
     assert p5 < mean < p95
 
 
+def test_package_exports_resolve():
+    assert [name for name in emisim.__all__ if not hasattr(emisim, name)] == []
+
+
 def test_widening_halfwidths_weakly_widen_bands(table):
     widths = {}
     for hw in (0.05, 0.10, 0.15):
@@ -556,6 +540,12 @@ def test_order_statistics_meet_overflow_and_infinities():
     # both infinities: no number, and no warning either
     b = bands_from_matrix(np.array([[-np.inf], [np.inf]]), (2020,), (50.0,))
     assert np.isnan(b.levels[0, 0]) and np.isnan(b.mean[0])
+    # one infinite end: the type-7 value is that infinity
+    column = np.array([[-np.inf], [5.0], [np.inf]])
+    b = bands_from_matrix(column, (2020,), (5.0, 25.0, 50.0, 75.0, 95.0))
+    assert b.levels[0].tolist() == [-np.inf, -np.inf, 5.0, np.inf, np.inf]
+    b = bands_from_matrix(np.array([[-np.inf], [-np.inf], [3.0]]), (2020,), (25.0, 75.0, 95.0))
+    assert b.levels[0].tolist() == [-np.inf, -np.inf, -np.inf]
 
 
 # Integers and one division: the band bytes depend on IEEE arithmetic alone,
