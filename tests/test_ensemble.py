@@ -60,11 +60,15 @@ def _uniform_halfwidths(fraction):
 # Normal quantile and CI conversion
 # ---------------------------------------------------------------------------
 
-def test_two_sided_z_against_oracle():
-    # 0.9514 and 0.9516 put (1 + level) / 2 on either side of 0.9758 = 1 - 0.0242,
-    # where AS241 leaves its central region for the tail
+def test_normal_quantile_against_oracle():
+    # two_sided_z(level) is the standard normal quantile at p = (1 + level) / 2;
+    # 0.9514 and 0.9516 put p on either side of 0.9758 = 1 - 0.0242, where
+    # AS241 leaves its central region for the tail
     for level in (1e-6, 0.001, 0.25, 0.5, 0.9, 0.95, 0.9514, 0.9516, 0.99, 1 - 2e-6):
         assert two_sided_z(level) == pytest.approx(float(ndtri((1 + level) / 2)), abs=1e-9)
+
+
+def test_normal_quantile_tabulated_values():
     assert two_sided_z(0.99) == pytest.approx(2.5758293035489004, abs=1e-9)
     assert two_sided_z(0.95) == pytest.approx(1.959963984540054, abs=1e-9)
 
