@@ -16,6 +16,7 @@ replays the run; an unknown key exits 2. Flags beat the file, the file beats
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -267,7 +268,11 @@ def cmd_inference_energy(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``emisim`` parser, built once per process: its ~50
+    ``add_argument`` calls cost a few milliseconds, and parsing leaves it
+    unchanged."""
     parser = _Parser(prog="emisim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"emisim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

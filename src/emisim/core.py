@@ -9,6 +9,7 @@ configuration, plus the three operations shared by the rest of the package
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
@@ -65,9 +66,15 @@ FRACTION_VARIABLES = ("mix_factor", "ai_share")
 
 
 def as_number(value) -> float:
-    """``float(value)``, except that a bool is not a number: ValueError."""
+    """``value``, a real number (numpy scalars included), as a float. A
+    string or a bool raises ValueError, so that a JSON ``"2020"`` or
+    ``true`` is not read as a number; any other type raises TypeError."""
+    if isinstance(value, str):
+        raise ValueError(f"could not convert string to float: {value!r}; expected a number")
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
     return float(value)
 
 
@@ -248,7 +255,10 @@ class SimulationConfig:
         for name, spec in self.halfwidths.items():
             if name not in DRIVER_VARIABLES:
                 raise ValueError(f"unknown driver variable {name!r}")
-            if isinstance(spec, (int, float)) and not (math.isfinite(spec) and spec >= 0):
+            if isinstance(spec, AnnualSeries):
+                continue
+            fraction = converted(name, as_number, spec)
+            if not (math.isfinite(fraction) and fraction >= 0):
                 raise ValueError(f"halfwidth fraction for {name} must be finite and >= 0, got {spec}")
 
     @classmethod

@@ -63,11 +63,60 @@ _GAMMA = np.uint64(_SPLITMIX_GAMMA)
 _BLOCK_ELEMS = 1 << 16
 
 
-def _splitmix64(state: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function of ``np.uint64`` states (wraps mod 2**64)."""
-    z = (state ^ (state >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> 31)
+def _splitmix64(state: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64 output function, in place on ``np.uint64`` states (wraps
+    mod 2**64); ``scratch`` is a uint64 array of the same shape."""
+    np.right_shift(state, 30, out=scratch)
+    state ^= scratch
+    state *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(state, 27, out=scratch)
+    state ^= scratch
+    state *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(state, 31, out=scratch)
+    state ^= scratch
+
+
+class _NormalKernel:
+    """Writes the standard normals of blocks of at most ``rows``
+    realizations (see :func:`standard_normals`) through two buffers of
+    ``2 * n_pairs * rows`` words, reused from block to block."""
+
+    def __init__(self, master_seed: int, n_slots: int, rows: int):
+        self.n_pairs = n_pairs = -(-n_slots // 2)
+        first = np.array([(master_seed + _SPLITMIX_GAMMA) & _MASK64], dtype=np.uint64)
+        _splitmix64(first, np.empty_like(first))
+        self.first = int(first[0])
+        # stream output k has the state first + k * gamma: pair p of row r
+        # reads outputs 2 (r * n_pairs + p) + 1 + c, with c = 0 for u1 and 1 for u2
+        self.row_gammas = np.arange(rows, dtype=np.uint64) * np.uint64(
+            2 * n_pairs * _SPLITMIX_GAMMA & _MASK64)
+        self.slot_gammas = (np.arange(2 * n_pairs, dtype=np.uint64) * _GAMMA).reshape(n_pairs, 2).T
+        self.states = np.empty((2, n_pairs, rows), dtype=np.uint64)
+        self.trig = np.empty((2, n_pairs, rows))
+
+    def fill(self, out: np.ndarray, start: int) -> None:
+        """Write the normals of realizations ``start .. start + rows - 1``
+        into ``out``, an ``(n_pairs, 2, rows)`` float64 array whose
+        ``[p, c, r]`` is slot ``2p + c`` of realization ``start + r``."""
+        rows = out.shape[-1]
+        states, trig = self.states[:, :, :rows], self.trig[:, :, :rows]
+        offset = (self.first + (2 * start * self.n_pairs + 1) * _SPLITMIX_GAMMA) & _MASK64
+        np.add(self.slot_gammas[:, :, None] + np.uint64(offset), self.row_gammas[:rows], out=states)
+        _splitmix64(states, trig.view(np.uint64))
+        states >>= 11
+        # m < 2**53 converts exactly, and so does u1 = m 2**-53 + 2**-53; a
+        # power of two scales exactly, so m (2 pi 2**-53) rounds as 2 pi u2
+        m = states.view(np.int64)
+        radius, angle = states.view(np.float64)
+        np.multiply(m[0], 2.0**-53, out=radius)
+        radius += 2.0**-53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        np.multiply(m[1], 2.0 * math.pi * 2.0**-53, out=angle)
+        np.cos(angle, out=trig[0])
+        np.sin(angle, out=trig[1])
+        np.multiply(radius[:, None, :], trig.transpose(1, 0, 2), out=out)
 
 
 def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> np.ndarray:
@@ -76,32 +125,27 @@ def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> n
     ``(master_seed, start + i, j)``.
 
     A counter-based stream (Salmon et al., "Parallel random numbers: as easy
-    as 1, 2, 3", SC'11) built on SplitMix64 (Steele, Lea & Flood, OOPSLA'14)
-    whose state starts at the first output of a SplitMix64 stream seeded
-    with ``master_seed``. Realization ``i`` owns the pair counters
-    ``i * n_pairs .. (i + 1) * n_pairs - 1`` with
-    ``n_pairs = ceil(n_slots / 2)``. Pair counter ``c`` reads stream
-    outputs ``2c + 1`` and ``2c + 2`` as the 53-bit uniforms ``u1`` in
-    (0, 1] and ``u2`` in [0, 1), and Box-Muller turns them into slots
-    ``2k = r cos(2 pi u2)`` and ``2k + 1 = r sin(2 pi u2)`` of its
-    realization, with ``r = sqrt(-2 ln u1)``. Its temporaries grow with
-    ``stop - start``; :func:`run_simulation` bounds them by its row blocks.
+    as 1, 2, 3", SC'11) built on SplitMix64 (Steele, Lea & Flood, OOPSLA'14):
+    stream output ``k`` is SplitMix64 of the state ``first + k * gamma``
+    (mod 2**64), where ``first`` is the first output of a SplitMix64 stream
+    seeded with ``master_seed``. Realization ``i`` owns the pair counters
+    ``c = i * n_pairs + p`` for ``p < n_pairs = ceil(n_slots / 2)``. Pair
+    counter ``c`` reads stream outputs ``2c + 1`` and ``2c + 2`` as the
+    53-bit uniforms ``u1`` in (0, 1] and ``u2`` in [0, 1), and Box-Muller
+    turns them into slots ``2p = r cos(2 pi u2)`` and
+    ``2p + 1 = r sin(2 pi u2)`` of realization ``i``, with
+    ``r = sqrt(-2 ln u1)``; an odd ``n_slots`` drops the last sine.
+
+    The one kernel behind this function writes a block slot-major, as
+    ``(n_pairs, 2, rows)``, into memory its caller gives, with no
+    temporaries that grow with the block; :func:`run_simulation` gives it
+    the driver block itself. This wrapper gives it an array of its own and
+    returns the transposed view.
     """
-    n_pairs = -(-n_slots // 2)
-    # allocated before the temporaries: after them, it raised the peak RSS
-    # of a per-year simulate
-    out = np.empty(((stop - start) * n_pairs, 2))
-    counters = np.arange(start * n_pairs, stop * n_pairs, dtype=np.uint64)
-    # an array, not a scalar: numpy warns when a scalar product wraps
-    first = _splitmix64(np.array([(master_seed + _SPLITMIX_GAMMA) & _MASK64], dtype=np.uint64))
-    state = first + (2 * counters + 1) * _GAMMA
-    u1 = ((_splitmix64(state) >> 11) + 1) * 2.0**-53
-    u2 = (_splitmix64(state + _GAMMA) >> 11) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
-    out[:, 0] = radius * np.cos(angle)
-    out[:, 1] = radius * np.sin(angle)
-    return out.reshape(stop - start, 2 * n_pairs)[:, :n_slots]
+    kernel = _NormalKernel(master_seed, n_slots, stop - start)
+    out = np.empty((kernel.n_pairs, 2, stop - start))
+    kernel.fill(out, start)
+    return out.reshape(2 * kernel.n_pairs, stop - start)[:n_slots].T
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +247,11 @@ class EnsembleResult:
     def __post_init__(self):
         if self.matrix.shape != (self.config.realizations, len(self.years)):
             raise ValueError("matrix shape does not match realizations x years")
-        if not np.all(np.isfinite(self.matrix)):
+        # a nan or an infinity reaches min or max; no full-size temporaries
+        low, high = self.matrix.min(), self.matrix.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("non-finite emission values in ensemble")
-        if np.any(self.matrix < 0.0):
+        if low < 0.0:
             raise ValueError("negative emission values in ensemble")
 
     def to_csv_text(self) -> str:
@@ -226,10 +272,13 @@ def run_simulation(
     The result is a pure function of ``(table, config)``: each row depends
     only on its own realization index (see :func:`standard_normals`), so a
     larger ensemble keeps the rows of a smaller one. The draws are made in
-    blocks of rows written straight into the driver arrays, so besides those
-    arrays and the model's output only one block of normals is held at a
-    time. ``workers`` is kept for compatibility; neither the output nor the
-    speed depends on it.
+    blocks of rows. The kernel writes a block slot-major: in per-year mode
+    straight into the driver arrays, which are then scaled and shifted in
+    place, and in per-variable mode into one (variable x 1 x rows) buffer
+    that a broadcast multiply spreads over the years. Besides the driver
+    arrays and the model's output, only two block-sized kernel buffers are
+    held, and they are freed before the predict. ``workers`` is kept for
+    compatibility; neither the output nor the speed depends on it.
     """
     if model is None:
         model = fit_model(table, config.model_kind)
@@ -237,22 +286,34 @@ def run_simulation(
     n_vars, n_years = perturbation.mean.shape
     per_year = config.correlation_mode is CorrelationMode.INDEPENDENT_PER_YEAR
     n_slots = n_vars * (n_years if per_year else 1)
+    n = config.realizations
     # (variable, year, realization): each driver is a column-major
     # (realizations x years) view, which keeps numpy's inner loops long
     # when z has one column, and a block of rows is one slice for all four
-    drivers = np.empty((n_vars, n_years, config.realizations))
+    drivers = np.empty((n_vars, n_years, n))
+    step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
+    kernel = _NormalKernel(config.master_seed, n_slots, min(step, n))
+    # the kernel writes slot s = 2p + c to [p, c] of a pairs view; the four
+    # variables make n_slots even. Per-year slot s is variable s // n_years,
+    # year s % n_years, so its normals go straight into the driver block;
+    # per-variable mode draws one slot per variable, shared by every year.
+    z = drivers if per_year else np.empty((n_vars, 1, min(step, n)))
+    pairs = z.reshape(-1, 2, z.shape[-1])
     sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
     lower, upper = perturbation.lower[:, None, None], perturbation.upper[:, None, None]
-    step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
+    capped = [(k, bound) for k, bound in enumerate(perturbation.upper.tolist()) if bound < math.inf]
     clamped = 0
-    for lo in range(0, config.realizations, step):
-        hi = min(lo + step, config.realizations)
-        z = standard_normals(config.master_seed, lo, hi, n_slots)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = slice(lo, hi) if per_year else slice(0, hi - lo)
+        kernel.fill(pairs[:, :, block], lo)
         raw = drivers[:, :, lo:hi]
-        np.multiply(z.reshape(hi - lo, n_vars, -1).transpose(1, 2, 0), sigma, out=raw)
+        np.multiply(z[:, :, block], sigma, out=raw)
         raw += mean
-        clamped += int(np.count_nonzero((raw < lower) | (raw > upper)))
+        clamped += int(np.count_nonzero(raw < lower))
+        clamped += sum(int(np.count_nonzero(raw[k] > bound)) for k, bound in capped)
         np.clip(raw, lower, upper, out=raw)
+    del kernel, z, pairs  # freed before the model's output adds to the peak
     matrix = model.predict_grid(perturbation.years, *(driver.T for driver in drivers))
     del drivers, raw  # freed before EnsembleResult's checks add their temporaries to the peak
     pred_clamped = (

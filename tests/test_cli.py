@@ -429,6 +429,9 @@ def test_simulate_malformed_input_exit_codes(tmp_path, files, flags, code):
 
 _DRIVER_ROW = {"semis_twh": 91, "dc_twh": 269, "mix_factor": 0.62, "ai_share": 0.02, "co2_mt": 1.03}
 _BAD_YEAR_TABLE = json.dumps({"rows": [{"year": "a", **_DRIVER_ROW}]})
+# numbers in JSON strings: a JSON number is never quoted
+_QUOTED_YEAR_TABLE = json.dumps({"rows": [{"year": "2020", **_DRIVER_ROW}]})
+_QUOTED_VALUE_TABLE = json.dumps([{"year": 2020, **_DRIVER_ROW, "dc_twh": " 5 "}])
 _NO_UNIT_BUNDLE = json.dumps(
     {"trajectories": [{"name": "Sustainable AI", "family": "AIStudy", "points": [[2020, 1.0]]}]}
 )
@@ -442,9 +445,11 @@ _NO_UNIT_BUNDLE = json.dumps(
         ("validate", "table.json", _BAD_YEAR_TABLE),
         ("fit", "table.json", _BAD_YEAR_TABLE),
         ("simulate", "table.json", _BAD_YEAR_TABLE),
+        ("validate", "table.json", _QUOTED_YEAR_TABLE),
+        ("validate", "table.json", _QUOTED_VALUE_TABLE),
     ],
     ids=["emissions-no-unit", "mean-truncated", "validate-bad-year", "fit-bad-year",
-         "simulate-bad-year"],
+         "simulate-bad-year", "validate-quoted-year", "validate-quoted-value"],
 )
 def test_malformed_json_input_exit_codes(tmp_path, command, name, text):
     path = tmp_path / name
@@ -785,3 +790,20 @@ def test_module_entry_point():
 
 def test_parser_builds():
     assert build_parser().prog == "emisim"
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every main() call of a process
+    assert build_parser() is build_parser()
+    out = tmp_path / "bands.csv"
+    simulate = ["simulate", "--input", TABLE, "--realizations", "20", "--out", str(out)]
+    assert main(simulate + ["--percentiles", "10,90"]) == 0
+    assert out.read_text().splitlines()[0] == "year,mean,p10,p90"
+    assert main(simulate) == 0
+    assert out.read_text().splitlines()[0] == "year,mean,p5,p50,p95"
+    with pytest.raises(SystemExit) as usage:
+        main(["simulate", "--realizations", "20"])  # --input is required
+    assert usage.value.code == 1
+    assert main(simulate + ["--format", "json"]) == 0
+    assert json.loads(out.read_text())["percentiles"] == [5.0, 50.0, 95.0]
+    capsys.readouterr()

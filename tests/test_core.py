@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from emisim.core import (
     SimulationConfig,
     Unit,
     align_scenarios,
+    as_number,
+    as_year,
     mean_scenario,
     validate_driver_table,
 )
@@ -261,11 +264,31 @@ def test_config_defaults():
         {"halfwidths": {"dc_twh": -0.1}},
         {"master_seed": -1},
         {"master_seed": 2**64},
+        {"halfwidths": {"semis_twh": True}},
+        {"halfwidths": {"dc_twh": "0.1"}},
+        {"halfwidths": {"dc_twh": None}},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SimulationConfig(**kwargs)
+
+
+def test_as_number_takes_only_real_numbers():
+    for value in (2, 0.5, np.float32(0.5), np.float64(0.25), np.int64(7)):
+        assert as_number(value) == float(value) and type(as_number(value)) is float
+    for text in ("2020", " 5 ", "1e0", "nan"):
+        with pytest.raises(ValueError, match="could not convert string"):
+            as_number(text)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="is not a number"):
+            as_number(flag)
+    for other in (None, [1.0], np.bool_(True)):
+        with pytest.raises(TypeError, match="expected a number"):
+            as_number(other)
+    assert as_year(np.int64(2020)) == as_year(2020.0) == 2020
+    with pytest.raises(ValueError):
+        as_year("2020")
 
 
 _finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
