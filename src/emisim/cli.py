@@ -1,8 +1,10 @@
 """Command-line pipeline: validate, fit, project, simulate, and band export.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 I/O failure,
-4 numeric failure. :func:`main` alone turns a failure into an exit code and
-one stderr line: an ``EmisimError`` ends with its own ``exit_code``, a
+4 numeric failure. :func:`main` returns every exit code, raising none
+(``--help`` and ``--version`` return 0), and alone turns a failure into an
+exit code and one stderr line: a usage error ends with 1 after argparse's
+usage line, an ``EmisimError`` with its own ``exit_code``, a
 ``ValueError`` or ``MemoryError`` with 2, an ``ArithmeticError`` with 4, an
 ``OSError`` with 3. All file writes are atomic (temp file + rename), so a
 failing run never leaves partial outputs behind.
@@ -217,7 +219,11 @@ def cmd_simulate(args) -> int:
             "output_paths": outputs,
             "duration_seconds": time.perf_counter() - started,
             "rng_stream": RNG_STREAM,
-            "environment": {"python": platform.python_version(), "numpy": np.__version__},
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "platform": platform.platform(),
+            },
         }
         write_text_atomic(out_path.with_name(out_path.name + ".manifest.json"),
                           json.dumps(manifest, indent=2) + "\n")
@@ -351,8 +357,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (1), or --help and --version (0)
+        return exc.code
     try:
         return args.func(args)
     except (EmisimError, ValueError, MemoryError, ArithmeticError) as exc:

@@ -12,8 +12,9 @@ sampling contract:
   then by year in per-year mode; per-variable mode has one slot per
   variable, shared by every year;
 * the stream is versioned as :data:`RNG_STREAM`; its bytes also depend on
-  numpy's ``log``, ``cos`` and ``sin``, so run manifests record the numpy
-  version;
+  numpy's ``log`` and ``tan``, whose SIMD code numpy picks for each CPU (not
+  on ``cos`` or ``sin``), so run manifests record the numpy version and the
+  platform;
 * tail draws are clamped to the variable bounds, and the number of clamped
   entries is reported so distortion is visible.
 
@@ -53,7 +54,7 @@ from .ingest import csv_text
 from .model import EmissionModel, fit_model
 
 #: Version of the random stream behind every simulated number.
-RNG_STREAM = "splitmix-boxmuller-v1"
+RNG_STREAM = "splitmix-boxmuller-v2"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -79,7 +80,8 @@ def _splitmix64(state: np.ndarray, scratch: np.ndarray) -> None:
 class _NormalKernel:
     """Writes the standard normals of blocks of at most ``rows``
     realizations (see :func:`standard_normals`) through two buffers of
-    ``2 * n_pairs * rows`` words, reused from block to block."""
+    ``2 * n_pairs * rows`` words, reused from block to block. Besides IEEE
+    arithmetic and ``sqrt``, it calls numpy's ``log`` and ``tan`` alone."""
 
     def __init__(self, master_seed: int, n_slots: int, rows: int):
         self.n_pairs = n_pairs = -(-n_slots // 2)
@@ -105,7 +107,7 @@ class _NormalKernel:
         _splitmix64(states, trig.view(np.uint64))
         states >>= 11
         # m < 2**53 converts exactly, and so does u1 = m 2**-53 + 2**-53; a
-        # power of two scales exactly, so m (2 pi 2**-53) rounds as 2 pi u2
+        # power of two scales exactly, so m (pi 2**-53) rounds as pi u2
         m = states.view(np.int64)
         radius, angle = states.view(np.float64)
         np.multiply(m[0], 2.0**-53, out=radius)
@@ -113,9 +115,16 @@ class _NormalKernel:
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        np.multiply(m[1], 2.0 * math.pi * 2.0**-53, out=angle)
-        np.cos(angle, out=trig[0])
-        np.sin(angle, out=trig[1])
+        # cos and sin of 2 pi u2 from t = tan(pi u2), the tangent half-angle
+        # identities: (1 - t**2, 2 t) / (1 + t**2). No double is pi / 2, so
+        # |t| < 1.7e16 and 1 + t**2 stays finite
+        np.multiply(m[1], math.pi * 2.0**-53, out=angle)
+        np.tan(angle, out=angle)
+        np.add(angle, angle, out=trig[1])
+        np.square(angle, out=angle)
+        np.subtract(1.0, angle, out=trig[0])
+        angle += 1.0
+        radius /= angle
         np.multiply(radius[:, None, :], trig.transpose(1, 0, 2), out=out)
 
 
@@ -132,9 +141,13 @@ def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> n
     ``c = i * n_pairs + p`` for ``p < n_pairs = ceil(n_slots / 2)``. Pair
     counter ``c`` reads stream outputs ``2c + 1`` and ``2c + 2`` as the
     53-bit uniforms ``u1`` in (0, 1] and ``u2`` in [0, 1), and Box-Muller
-    turns them into slots ``2p = r cos(2 pi u2)`` and
+    (Box & Muller, 1958) turns them into slots ``2p = r cos(2 pi u2)`` and
     ``2p + 1 = r sin(2 pi u2)`` of realization ``i``, with
-    ``r = sqrt(-2 ln u1)``; an odd ``n_slots`` drops the last sine.
+    ``r = sqrt(-2 ln u1)``; an odd ``n_slots`` drops the last sine. The
+    cosine and sine come from ``t = tan(pi u2)`` as ``(1 - t**2) / (1 + t**2)``
+    and ``2 t / (1 + t**2)``, within a few ulps of numpy's ``cos`` and
+    ``sin``, so the bytes depend on numpy's ``log`` and ``tan`` (whose SIMD
+    code numpy picks for each CPU), not on its ``cos`` or ``sin``.
 
     The one kernel behind this function writes a block slot-major, as
     ``(n_pairs, 2, rows)``, into memory its caller gives, with no
@@ -310,9 +323,12 @@ def run_simulation(
         raw = drivers[:, :, lo:hi]
         np.multiply(z[:, :, block], sigma, out=raw)
         raw += mean
-        clamped += int(np.count_nonzero(raw < lower))
-        clamped += sum(int(np.count_nonzero(raw[k] > bound)) for k, bound in capped)
-        np.clip(raw, lower, upper, out=raw)
+        # most blocks hold no draw out of bounds; min and max find that out
+        # without a full-size temporary
+        if (raw.min(axis=2) < lower[:, :, 0]).any() or (raw.max(axis=2) > upper[:, :, 0]).any():
+            clamped += int(np.count_nonzero(raw < lower))
+            clamped += sum(int(np.count_nonzero(raw[k] > bound)) for k, bound in capped)
+            np.clip(raw, lower, upper, out=raw)
     del kernel, z, pairs  # freed before the model's output adds to the peak
     matrix = model.predict_grid(perturbation.years, *(driver.T for driver in drivers))
     del drivers, raw  # freed before EnsembleResult's checks add their temporaries to the peak

@@ -239,10 +239,10 @@ def test_standard_normals_position_independent(n_slots, seed):
 
 
 @pytest.mark.parametrize("n_slots, digest", [
-    (1, "ad84b1c5fb96206cb4291f2bb6b575143aeb2a15968a19b00ebe76666ccb3691"),
-    (3, "ba97d0f6f4078dbdea392c5982aa54e3e9c18416cb327590e2f276218154fd93"),
-    (4, "a4a7b18f7f17d84dff5502763f8f67b49e6dcaa4b13f04c40835861809f696c5"),
-    (64, "3b8790bb4f5b67b41b68c9dbcb6691888e911af116f3d54b33365c246f2c24f5"),
+    (1, "4c39835abdab10e5c2526dcfae9ff0f18722ebf24d6c263b39e66a09a5182dda"),
+    (3, "e5df9633e13424b4a4327e23fb4e2669f10a5992f9ed7f0778a0c72eaad1a954"),
+    (4, "834b5dd093d287fcb7b97a29be41023d34ed2a7f4e6e3ba886a900a6fa9f90dd"),
+    (64, "3264bc1eb15cf54367ff3b300bfd0642a2c36b42f8d7b3c5bce47f9007af79f1"),
 ])
 def test_standard_normals_bytes_are_pinned(n_slots, digest):
     # the bytes of RNG_STREAM; run_simulation draws only even slot counts, so
@@ -250,6 +250,60 @@ def test_standard_normals_bytes_are_pinned(n_slots, digest):
     z = standard_normals(42, 5, 1029, n_slots)
     assert z.shape == (1024, n_slots) and z.dtype == np.float64
     assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+_MASK64 = 2**64 - 1
+_EPS = np.finfo(float).eps
+
+
+def _splitmix64(x: int) -> int:
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
+
+
+def _box_muller_oracle(m1, m2):
+    """r and r (cos, sin)(2 pi u2), shape (2, n), of the arrays of 53-bit
+    integers m1 and m2, with numpy's cos and sin."""
+    r = np.sqrt(-2.0 * np.log((m1 + 1.0) * 2.0**-53))
+    angle = 2.0 * np.pi * (m2 * 2.0**-53)
+    return r, r * np.stack([np.cos(angle), np.sin(angle)])
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_standard_normals_match_box_muller_oracle(seed):
+    # the uniforms rebuilt in Python integers: stream output k is SplitMix64
+    # of first + k gamma, and pair p reads outputs 2p + 1 (u1) and 2p + 2 (u2)
+    gamma = 0x9E3779B97F4A7C15
+    first = _splitmix64((seed + gamma) & _MASK64)
+    assert ensemble._NormalKernel(seed, 2, 1).first == first
+    n = 2048
+    m = [_splitmix64((first + k * gamma) & _MASK64) >> 11 for k in range(1, 2 * n + 1)]
+    m1, m2 = np.array(m, dtype=np.float64).reshape(n, 2).T  # exact below 2**53
+    r, want = _box_muller_oracle(m1, m2)
+    got = standard_normals(seed, 0, n, 2).T
+    assert np.all(np.abs(got - want) <= 4.0 * _EPS * r)
+
+
+def test_box_muller_edge_uniforms_give_finite_normals(monkeypatch):
+    # m = 2**52 puts the tangent's argument at the double nearest pi / 2
+    edges = np.array([0, 2**51, 2**52, 2**53 - 1], dtype=np.uint64)
+    kernel = ensemble._NormalKernel(0, 2, 16)
+
+    def every_pair_of_edges(state, scratch):  # row r: m1 = edges[r // 4], m2 = edges[r % 4]
+        state[0, 0] = np.repeat(edges, 4) << np.uint64(11)
+        state[1, 0] = np.tile(edges, 4) << np.uint64(11)
+
+    monkeypatch.setattr(ensemble, "_splitmix64", every_pair_of_edges)
+    out = np.empty((1, 2, 16))
+    kernel.fill(out, 0)
+    assert np.isfinite(out).all()
+    r, want = _box_muller_oracle(np.repeat(edges, 4), np.tile(edges, 4))
+    assert np.all(np.abs(out[0] - want) <= 4.0 * _EPS * r)
+    # u2 = 0, 1/4 and 1/2: (cos, sin) = (1, 0), (~1e-16, 1) and (-1, ~1e-16)
+    assert out[0, :, 0].tolist() == [r[0], 0.0]
+    assert out[0, 1, 1] == r[1] and abs(out[0, 0, 1]) <= _EPS * r[1]
+    assert out[0, 0, 2] == -r[2] and abs(out[0, 1, 2]) <= _EPS * r[2]
 
 
 def test_standard_normals_distribution():
