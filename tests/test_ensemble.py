@@ -238,20 +238,6 @@ def test_standard_normals_position_independent(n_slots, seed):
     assert not np.array_equal(standard_normals(seed + 1, 0, 3_000, n_slots), full)
 
 
-@pytest.mark.parametrize("n_slots, digest", [
-    (1, "4c39835abdab10e5c2526dcfae9ff0f18722ebf24d6c263b39e66a09a5182dda"),
-    (3, "e5df9633e13424b4a4327e23fb4e2669f10a5992f9ed7f0778a0c72eaad1a954"),
-    (4, "834b5dd093d287fcb7b97a29be41023d34ed2a7f4e6e3ba886a900a6fa9f90dd"),
-    (64, "3264bc1eb15cf54367ff3b300bfd0642a2c36b42f8d7b3c5bce47f9007af79f1"),
-])
-def test_standard_normals_bytes_are_pinned(n_slots, digest):
-    # the bytes of RNG_STREAM; run_simulation draws only even slot counts, so
-    # the odd counts, whose last pair drops its sine, are pinned here
-    z = standard_normals(42, 5, 1029, n_slots)
-    assert z.shape == (1024, n_slots) and z.dtype == np.float64
-    assert hashlib.sha256(z.tobytes()).hexdigest() == digest
-
-
 _MASK64 = 2**64 - 1
 _EPS = np.finfo(float).eps
 
@@ -262,6 +248,16 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _pair_integers(seed: int, start: int, stop: int):
+    """The 53-bit integers m1 and m2 behind u1 and u2 of pair counters
+    start to stop, rebuilt in Python integers: stream output k is SplitMix64
+    of first + k gamma, and counter c reads outputs 2c + 1 (u1) and 2c + 2 (u2)."""
+    gamma = 0x9E3779B97F4A7C15
+    first = _splitmix64((seed + gamma) & _MASK64)
+    m = [_splitmix64((first + k * gamma) & _MASK64) >> 11 for k in range(2 * start + 1, 2 * stop + 1)]
+    return np.array(m, dtype=np.float64).reshape(-1, 2).T  # exact below 2**53
+
+
 def _box_muller_oracle(m1, m2):
     """r and r (cos, sin)(2 pi u2), shape (2, n), of the arrays of 53-bit
     integers m1 and m2, with numpy's cos and sin."""
@@ -270,17 +266,46 @@ def _box_muller_oracle(m1, m2):
     return r, r * np.stack([np.cos(angle), np.sin(angle)])
 
 
+#: sha256 of standard_normals(42, 5, 1029, n_slots).tobytes() under RNG_STREAM
+_STREAM_DIGESTS = {
+    1: "4c39835abdab10e5c2526dcfae9ff0f18722ebf24d6c263b39e66a09a5182dda",
+    3: "e5df9633e13424b4a4327e23fb4e2669f10a5992f9ed7f0778a0c72eaad1a954",
+    4: "834b5dd093d287fcb7b97a29be41023d34ed2a7f4e6e3ba886a900a6fa9f90dd",
+    64: "3264bc1eb15cf54367ff3b300bfd0642a2c36b42f8d7b3c5bce47f9007af79f1",
+}
+
+
+# digest: the same bytes under splitmix-boxmuller-v1, which took cos and sin
+# from numpy; v2 changed the angle step alone, so the v1 bytes are still the
+# Box-Muller oracle of the stream's uniforms and pin its counters, uniforms,
+# radius and slot layout apart from the tangent step
+@pytest.mark.parametrize("n_slots, digest", [
+    (1, "ad84b1c5fb96206cb4291f2bb6b575143aeb2a15968a19b00ebe76666ccb3691"),
+    (3, "ba97d0f6f4078dbdea392c5982aa54e3e9c18416cb327590e2f276218154fd93"),
+    (4, "a4a7b18f7f17d84dff5502763f8f67b49e6dcaa4b13f04c40835861809f696c5"),
+    (64, "3b8790bb4f5b67b41b68c9dbcb6691888e911af116f3d54b33365c246f2c24f5"),
+])
+def test_standard_normals_bytes_are_pinned(n_slots, digest):
+    # the bytes of RNG_STREAM; run_simulation draws only even slot counts, so
+    # the odd counts, whose last pair drops its sine, are pinned here
+    z = standard_normals(42, 5, 1029, n_slots)
+    assert z.shape == (1024, n_slots) and z.dtype == np.float64
+    assert hashlib.sha256(z.tobytes()).hexdigest() == _STREAM_DIGESTS[n_slots]
+    n_pairs = -(-n_slots // 2)
+    r, v1 = _box_muller_oracle(*_pair_integers(42, 5 * n_pairs, 1029 * n_pairs))
+    v1 = v1.reshape(2, 1024, n_pairs).transpose(1, 2, 0).reshape(1024, 2 * n_pairs)[:, :n_slots]
+    assert hashlib.sha256(v1.tobytes()).hexdigest() == digest
+    r = np.repeat(r.reshape(1024, n_pairs), 2, axis=1)[:, :n_slots]
+    assert np.all(np.abs(z - v1) <= 4.0 * _EPS * r)
+
+
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
 def test_standard_normals_match_box_muller_oracle(seed):
-    # the uniforms rebuilt in Python integers: stream output k is SplitMix64
-    # of first + k gamma, and pair p reads outputs 2p + 1 (u1) and 2p + 2 (u2)
-    gamma = 0x9E3779B97F4A7C15
-    first = _splitmix64((seed + gamma) & _MASK64)
+    # the uniforms rebuilt in Python integers (see _pair_integers)
+    first = _splitmix64((seed + 0x9E3779B97F4A7C15) & _MASK64)
     assert ensemble._NormalKernel(seed, 2, 1).first == first
     n = 2048
-    m = [_splitmix64((first + k * gamma) & _MASK64) >> 11 for k in range(1, 2 * n + 1)]
-    m1, m2 = np.array(m, dtype=np.float64).reshape(n, 2).T  # exact below 2**53
-    r, want = _box_muller_oracle(m1, m2)
+    r, want = _box_muller_oracle(*_pair_integers(seed, 0, n))
     got = standard_normals(seed, 0, n, 2).T
     assert np.all(np.abs(got - want) <= 4.0 * _EPS * r)
 
