@@ -138,12 +138,14 @@ def parse_series_csv_text(text: str, unit: Unit) -> AnnualSeries:
 
 
 def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
-    """Years and realization rows of a matrix CSV: a header of years, then
-    one row of numbers per realization; blank lines are skipped."""
+    """Years and realization rows of a matrix CSV: a header of strictly
+    increasing years, then one row of numbers per realization; blank lines
+    are skipped."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
         years = tuple(int(c) for c in lines[0].split(","))
-        if len(lines) > 1 and (matrix := _loadtxt(lines[1:])).shape[1] == len(years):
+        if (len(lines) > 1 and all(a < b for a, b in zip(years, years[1:]))
+                and (matrix := _loadtxt(lines[1:])).shape[1] == len(years)):
             return years, matrix
     except (IndexError, ValueError):
         pass
@@ -161,7 +163,11 @@ def _raise_matrix_error(text: str) -> NoReturn:
     if len(rows) < 2:
         raise SchemaError(rows[0][0] + 1 if rows else 1, 1, "no data rows")
     (line, header), rows = rows[0], rows[1:]
-    width = len([_parse_int(c.strip(), line, i, "year") for i, c in enumerate(header.split(","), 1)])
+    years = [_parse_int(c.strip(), line, i, "year") for i, c in enumerate(header.split(","), 1)]
+    for column, (before, year) in enumerate(zip(years, years[1:]), 2):
+        if year <= before:
+            raise SchemaError(line, column, f"years not strictly increasing at {year}")
+    width = len(years)
 
     def parses(lines, n_cells):
         try:

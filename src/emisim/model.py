@@ -27,6 +27,9 @@ import numpy as np
 from .core import DRIVER_VARIABLES, AnnualSeries, DriverTable, ModelKind, Unit
 from .errors import DegenerateRowError, RankDeficientDesignError, YearOutsideFitError
 
+# rows of the regression predict's term buffer: 4096 rows of 16 years are 512 KiB
+_PREDICT_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class ImpliedIntensityModel:
@@ -97,13 +100,23 @@ class LinearRegressionModel:
 
     def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
         b0, b1, b2, b3, b4 = self.coefficients
-        # one output array and one term buffer, summed left to right:
+        # one output array and a term buffer of one row block, laid out like the
+        # output; each block is summed left to right, which fixes the bytes:
         # b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai
         values = np.multiply(semis_twh, b1)
         values += b0
-        term = np.empty_like(values)
-        for x, b in ((dc_twh, b2), (mix_factor, b3), (ai_share, b4)):
-            values += np.multiply(x, b, out=term)
+        terms = [(np.broadcast_to(x, values.shape), b)
+                 for x, b in ((dc_twh, b2), (mix_factor, b3), (ai_share, b4))]
+        term = np.empty_like(values[:_PREDICT_BLOCK_ROWS])
+        for lo in range(0, len(values), _PREDICT_BLOCK_ROWS):
+            block = values[lo:lo + _PREDICT_BLOCK_ROWS]
+            out = term[:len(block)]
+            for x, b in terms:
+                # copied, then scaled in place: a multiply from a strided view
+                # into the buffer makes numpy allocate a 64 KiB iterator buffer
+                np.copyto(out, x[lo:lo + len(block)])
+                out *= b
+                block += out
         return np.maximum(values, 0.0, out=values)
 
     def diagnostics(self) -> dict:

@@ -688,6 +688,30 @@ def test_bands_reports_file_line_and_column(tmp_path):
     assert "usecols" not in proc.stderr and "row" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("2020,2020\n1,2\n", 1, 2),
+        ("2021,2020\n1,2\n", 1, 2),
+        ("\n\n2020,2021,2021\n1,2,3\n", 3, 3),
+        ("2020,2022,2021,2023\n\n1,2,3,4\n", 1, 3),
+        # the header is reported before a bad data row
+        ("\n2021,2020\n1,x\n", 2, 2),
+    ],
+)
+def test_bands_matrix_years_must_increase(tmp_path, capsys, text, line, column):
+    # the rule of AnnualSeries: a repeated or backward year would write
+    # duplicate or out-of-order band rows
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(text, newline="")
+    out = tmp_path / "bands.csv"
+    assert main(["bands", "--input", str(matrix), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert f"line {line}, column {column}: years not strictly increasing" in err[0]
+    assert not out.exists()
+
+
 def test_bands_subcommand_single_column(tmp_path):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("2030\n3.0\n1.0\n2.0\n")

@@ -400,8 +400,8 @@ def test_row_blocks_do_not_change_results(table, monkeypatch, mode, kind):
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_run_simulation_peak_memory_is_bounded(table, kind):
-    # the four driver arrays plus the model's output (and one term buffer
-    # for the regression); the normals are drawn one block of rows at a time
+    # the four driver arrays plus the model's output (and one block of the
+    # regression's term buffer); the normals are drawn one block of rows at a time
     cfg = SimulationConfig(realizations=50_000, master_seed=7, model_kind=kind,
                            correlation_mode=CorrelationMode.INDEPENDENT_PER_YEAR)
     tracemalloc.start()
@@ -410,7 +410,7 @@ def test_run_simulation_peak_memory_is_bounded(table, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * result.matrix.nbytes
+    assert peak <= 5.25 * result.matrix.nbytes
 
 
 def test_single_deterministic_realization_is_observed_column(table):

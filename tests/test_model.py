@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from emisim.core import DriverRow, DriverTable, ModelKind
+from emisim.core import DRIVER_VARIABLES, DriverRow, DriverTable, ModelKind
 from emisim.errors import (
     DegenerateRowError,
     RankDeficientDesignError,
@@ -9,6 +11,7 @@ from emisim.errors import (
 )
 from emisim.ingest import bundled_driver_table
 from emisim.model import (
+    _PREDICT_BLOCK_ROWS,
     fit_implied_intensity,
     fit_linear_regression,
     model_from_json,
@@ -191,6 +194,67 @@ def test_ols_rank_deficient_design(table):
 def test_ols_needs_six_rows(table):
     with pytest.raises(ValueError):
         fit_linear_regression(DriverTable.from_rows(table.rows[:5]))
+
+
+def _whole_array_regression(model, semis, dc, mix, ai):
+    """The regression predict with one full-size term buffer."""
+    b0, b1, b2, b3, b4 = model.coefficients
+    values = np.multiply(semis, b1)
+    values += b0
+    term = np.empty_like(values)
+    for x, b in ((dc, b2), (mix, b3), (ai, b4)):
+        values += np.multiply(x, b, out=term)
+    return np.maximum(values, 0.0, out=values)
+
+
+_B = _PREDICT_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+def test_blocked_regression_predict_matches_whole_array(table, n):
+    model = fit_linear_regression(table)
+    rng = np.random.default_rng(n)
+    means = np.array([table.column(v) for v in DRIVER_VARIABLES])
+    # (variable, year, realization) as run_simulation holds them, so each driver
+    # is an F-ordered (n x years) view; zero drivers clamp, the mean ones do not
+    drivers = means[:, :, None] * rng.uniform(0.0, 2.0, (4, len(table), n))
+    drivers[:, 0, 0] = 0.0
+    drivers[:, -1, -1] = means[:, -1]
+    views = [d.T for d in drivers]
+    got = model.predict_grid(table.years, *views)
+    expected = _whole_array_regression(model, *views)
+    assert got.flags.f_contiguous and got.shape == (n, len(table))
+    assert got.tobytes() == expected.tobytes()
+    assert np.any(got == 0.0) and np.any(got > 0.0)
+    # a (years,) column broadcasts against (n x years) drivers
+    mixed = (views[0], views[1], means[2], views[3])
+    assert model.predict_grid(table.years, *mixed).tobytes() == \
+        _whole_array_regression(model, *mixed).tobytes()
+
+
+def test_blocked_regression_predict_of_year_columns(table):
+    # the 1-D columns predict_table passes are blocked along the year axis
+    model = fit_linear_regression(table)
+    columns = [np.array(table.column(v)) for v in DRIVER_VARIABLES]
+    halved = [tuple(0.5 * c) for c in columns]
+    got = model.predict_grid(table.years, *halved)
+    assert got.tobytes() == _whole_array_regression(model, *map(np.array, halved)).tobytes()
+    assert np.any(got == 0.0)
+    assert predict_table(model, table).tobytes() == _whole_array_regression(model, *columns).tobytes()
+
+
+def test_blocked_regression_predict_memory(table):
+    model = fit_linear_regression(table)
+    n = 3 * _B + 7
+    drivers = np.ones((4, len(table), n))
+    tracemalloc.start()
+    try:
+        got = model.predict_grid(table.years, *(d.T for d in drivers))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = _B * len(table) * drivers.itemsize
+    assert peak <= got.nbytes + block + 64 * 1024
 
 
 def test_regression_clamps_negative_predictions(table):
