@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 usage, 2 validation failure, 3 I/O failure,
 exit code and one stderr line: a usage error ends with 1 after argparse's
 usage line, an ``EmisimError`` with its own ``exit_code``, a
 ``ValueError`` or ``MemoryError`` with 2, an ``ArithmeticError`` with 4, an
-``OSError`` with 3. All file writes are atomic (temp file + rename), so a
-failing run never leaves partial outputs behind.
+``OSError`` with 3. Every write is atomic (temp file + rename), and ``simulate``
+renames its files only once all are written: a failure leaves no partial outputs.
 
 The ``simulate --config`` JSON file has exactly the schema of the ``config``
 block of a run manifest, so ``simulate --input T --config <that block>``
@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from . import __version__
 from .core import (
@@ -71,19 +72,34 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def write_text_atomic(files: dict[Path, str]) -> None:
+    """Write every text of ``files`` to its path, or none: each goes to a temp
+    file next to its path, and they are renamed only once all are written."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        for path, text in files.items():
+            temps[path].write_text(text, encoding="utf-8")
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     finally:
-        if tmp.exists():
-            tmp.unlink()
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+@functools.cache
+def _environment() -> dict:
+    """What besides the inputs decides a run's bytes, found once per process
+    and without starting one (``platform.platform()`` runs ``uname -p``)."""
+    dispatch = opt_func_info(func_name="^(log|tan)$", signature="float64")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()),
+        # the random stream's bytes depend on the SIMD code numpy picks for these two
+        "numpy_dispatch": {name: {signature: target["current"] for signature, target in loops.items()}
+                           for name, loops in dispatch.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +153,14 @@ def _resolve_simulation_config(args) -> SimulationConfig:
     return SimulationConfig.from_dict(doc)
 
 
-def _emit(args, text: str, json_doc=None) -> None:
-    """Write to --out (atomically) or stdout, honoring --format."""
+def _emit(args, text: str, json_doc=None, also: dict | None = None) -> None:
+    """Write to --out or stdout, honoring --format; the files of ``also`` are
+    written with it, all or none."""
     if getattr(args, "format", "csv") == "json" and json_doc is not None:
         text = json.dumps(json_doc, indent=2) + "\n"
-    if getattr(args, "out", None):
-        write_text_atomic(Path(args.out), text)
-    else:
+    files = {Path(args.out): text} if getattr(args, "out", None) else {}
+    write_text_atomic({**files, **(also or {})})
+    if not files:
         sys.stdout.write(text)
 
 
@@ -180,8 +197,7 @@ def cmd_emissions(args) -> int:
 
 def cmd_mean(args) -> int:
     mean = mean_scenario(list(load_bundle(args.input).trajectories))
-    doc = {"unit": mean.unit.value, "points": [list(p) for p in mean.points]}
-    _emit(args, series_to_csv_text(mean), doc)
+    _emit(args, series_to_csv_text(mean), mean.to_json())
     return EXIT_OK
 
 
@@ -194,22 +210,22 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
+    out = Path(args.out) if args.out else None
+    manifest_out = out and out.with_name(out.name + ".manifest.json")
+    paths = [os.path.abspath(p) for p in (args.out, args.matrix_out, manifest_out) if p]
+    if len(set(paths)) < len(paths):
+        raise EmisimError("--out, --matrix-out and the manifest must name different files")
     config = _resolve_simulation_config(args)
     table = parse_driver_csv(args.input)
     result = run_simulation(table, config, workers=args.workers)
     band = bands(result)
 
-    _emit(args, band.to_csv_text(), band.to_dict())
-    out_path = Path(args.out) if args.out else None
-    outputs = [str(out_path)] if out_path else []
-
-    if args.matrix_out:
-        write_text_atomic(Path(args.matrix_out), result.to_csv_text())
-        outputs.append(str(args.matrix_out))
-
-    if out_path:
+    also = {Path(args.matrix_out): result.to_csv_text()} if args.matrix_out else {}
+    outputs = [str(path) for path in (out, *also) if path]
+    if out:
         inputs = (args.input, args.config, args.halfwidths)
-        digests = {str(path): _sha256_file(Path(path)) for path in inputs if path}
+        digests = {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                   for path in inputs if path}
         # everything needed to reproduce the run byte for byte
         manifest = {
             "tool_version": __version__,
@@ -219,14 +235,11 @@ def cmd_simulate(args) -> int:
             "output_paths": outputs,
             "duration_seconds": time.perf_counter() - started,
             "rng_stream": RNG_STREAM,
-            "environment": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "platform": platform.platform(),
-            },
+            "environment": _environment(),
         }
-        write_text_atomic(out_path.with_name(out_path.name + ".manifest.json"),
-                          json.dumps(manifest, indent=2) + "\n")
+        also[manifest_out] = json.dumps(manifest, indent=2) + "\n"
+    _emit(args, band.to_csv_text(), band.to_dict(), also)
+    if out:
         print(
             f"simulated {config.realizations} realizations over "
             f"{len(result.years)} years (clamped draws: {result.clamped_draws}); "

@@ -132,6 +132,20 @@ class AnnualSeries:
     def __len__(self) -> int:
         return len(self.points)
 
+    def to_json(self) -> dict:
+        """The series JSON form, ``{"unit": ..., "points": [[year, value], ...]}``."""
+        return {"unit": self.unit.value, "points": [list(p) for p in self.points]}
+
+    @classmethod
+    def from_json(cls, doc, unit: Unit | None = None) -> "AnnualSeries":
+        """Inverse of :meth:`to_json`; bare points, or a form without its unit, take ``unit``."""
+        if isinstance(doc, Mapping):
+            unit = doc.get("unit", unit)
+            doc = doc["points"]
+        if unit is None:
+            raise ValueError("series has no unit")
+        return cls(Unit(unit), tuple(doc))
+
 
 @dataclass(frozen=True)
 class ScenarioTrajectory:
@@ -190,18 +204,6 @@ HalfwidthSpec = Union[float, AnnualSeries]
 DEFAULT_HALFWIDTH_FRACTION = 0.10
 
 
-def _halfwidth_to_dict(spec: HalfwidthSpec):
-    if isinstance(spec, AnnualSeries):
-        return {"unit": spec.unit.value, "points": [list(p) for p in spec.points]}
-    return float(spec)
-
-
-def _halfwidth_from_dict(spec) -> HalfwidthSpec:
-    if isinstance(spec, Mapping):
-        return AnnualSeries(Unit(spec.get("unit", Unit.TWH.value)), tuple(spec["points"]))
-    return as_number(spec)
-
-
 def converted(key: str, convert, value):
     """``convert(value)``; any failure is raised as a ValueError naming ``key``."""
     try:
@@ -210,6 +212,18 @@ def converted(key: str, convert, value):
         raise ValueError(f"{key}: {exc}") from None
     except (AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{key}: {type(exc).__name__}: {exc}") from None
+
+
+def _halfwidths(halfwidths: Mapping) -> dict[str, HalfwidthSpec]:
+    """``halfwidths`` with each fraction as a float, checked finite and >= 0."""
+    checked = {name: spec if isinstance(spec, AnnualSeries) else converted(name, as_number, spec)
+               for name, spec in halfwidths.items()}
+    for name, spec in checked.items():
+        if name not in DRIVER_VARIABLES:
+            raise ValueError(f"unknown driver variable {name!r}")
+        if not (isinstance(spec, AnnualSeries) or math.isfinite(spec) and spec >= 0):
+            raise ValueError(f"halfwidth fraction for {name} must be finite and >= 0, got {spec}")
+    return checked
 
 
 def validate_percentiles(percentiles) -> tuple[float, ...]:
@@ -228,7 +242,7 @@ def validate_percentiles(percentiles) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs for the Monte Carlo ensemble.
+    """Knobs for the Monte Carlo ensemble, each checked and converted once, here.
 
     ``halfwidths`` maps each driver variable to either a scalar (fraction of
     the per-year mean) or an :class:`AnnualSeries` of absolute halfwidths.
@@ -245,42 +259,39 @@ class SimulationConfig:
     model_kind: ModelKind = ModelKind.IMPLIED_INTENSITY
 
     def __post_init__(self):
+        for key in ("realizations", "master_seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
+        for key, convert in (
+            ("ci_level", as_number),
+            ("halfwidths", _halfwidths),
+            ("correlation_mode", CorrelationMode),
+            ("percentiles", validate_percentiles),
+            ("model_kind", ModelKind),
+        ):
+            object.__setattr__(self, key, converted(key, convert, getattr(self, key)))
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
-        object.__setattr__(self, "percentiles", validate_percentiles(self.percentiles))
-        for name, spec in self.halfwidths.items():
-            if name not in DRIVER_VARIABLES:
-                raise ValueError(f"unknown driver variable {name!r}")
-            if isinstance(spec, AnnualSeries):
-                continue
-            fraction = converted(name, as_number, spec)
-            if not (math.isfinite(fraction) and fraction >= 0):
-                raise ValueError(f"halfwidth fraction for {name} must be finite and >= 0, got {spec}")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SimulationConfig":
-        """Inverse of :meth:`to_dict`. Absent keys keep their defaults, and a
-        halfwidth series may leave out its unit (TWh). Unknown keys, a
-        ``realizations`` or ``master_seed`` that is not an integer, and any
-        other malformed value raise ValueError."""
+        """Inverse of :meth:`to_dict`: absent keys keep their defaults, a halfwidth
+        series may leave out its unit (TWh), and an unknown key raises ValueError."""
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-        for key in ("realizations", "master_seed"):
-            if key in doc and type(doc[key]) is not int:
-                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-        convert = {
-            "ci_level": as_number,
-            "halfwidths": lambda hw: {k: converted(k, _halfwidth_from_dict, v) for k, v in hw.items()},
-            "correlation_mode": CorrelationMode,
-            "percentiles": validate_percentiles,
-            "model_kind": ModelKind,
-        }
-        return cls(**{k: converted(k, convert.get(k, lambda x: x), v) for k, v in doc.items()})
+        halfwidths = doc.get("halfwidths")
+        if isinstance(halfwidths, Mapping):  # a series comes in its JSON form, TWh by default
+            doc = {**doc, "halfwidths": {name: converted(
+                f"halfwidths: {name}", lambda s: AnnualSeries.from_json(s, Unit.TWH), spec)
+                if isinstance(spec, Mapping) else spec for name, spec in halfwidths.items()}}
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot (used by run manifests)."""
@@ -288,7 +299,8 @@ class SimulationConfig:
             "realizations": self.realizations,
             "master_seed": self.master_seed,
             "ci_level": self.ci_level,
-            "halfwidths": {name: _halfwidth_to_dict(spec) for name, spec in self.halfwidths.items()},
+            "halfwidths": {name: spec.to_json() if isinstance(spec, AnnualSeries) else spec
+                           for name, spec in self.halfwidths.items()},
             "correlation_mode": self.correlation_mode.value,
             "percentiles": list(self.percentiles),
             "model_kind": self.model_kind.value,

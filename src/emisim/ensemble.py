@@ -14,7 +14,7 @@ sampling contract:
 * the stream is versioned as :data:`RNG_STREAM`; its bytes also depend on
   numpy's ``log`` and ``tan``, whose SIMD code numpy picks for each CPU (not
   on ``cos`` or ``sin``), so run manifests record the numpy version and the
-  platform;
+  SIMD target numpy dispatches ``log`` and ``tan`` to;
 * tail draws are clamped to the variable bounds, and the number of clamped
   entries is reported so distortion is visible.
 
@@ -233,7 +233,7 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> Perturb
                 raise MissingHalfwidthError(f"halfwidth series for {name} missing {exc}") from None
         else:
             # Python floats: an overflow gives inf without a numpy warning
-            halfwidths = [float(spec) * m for m in mean]
+            halfwidths = [spec * m for m in mean]
         sigmas.append([hw / z for hw in halfwidths])
         widest = max(sigmas[-1])
         limit = 1.0 if name in FRACTION_VARIABLES else np.finfo(float).max

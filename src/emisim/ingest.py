@@ -242,18 +242,12 @@ def parse_bundle_or_driver_table(path: str | Path) -> ScenarioBundle | DriverTab
 
 
 def parse_series_csv(path: str | Path, unit: Unit) -> AnnualSeries:
-    """Parse an annual series from a CSV (or JSON ``[[year, value], ...]``)."""
+    """Parse an annual series from a CSV, or from a JSON series form (see
+    :meth:`AnnualSeries.from_json`) that takes ``unit`` if it has none."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return read_json(path, lambda doc: _series_from_json(doc, unit))
+        return read_json(path, lambda doc: AnnualSeries.from_json(doc, unit))
     return parse_series_csv_text(read_text(path), unit)
-
-
-def _series_from_json(doc, unit: Unit) -> AnnualSeries:
-    points = doc["points"] if isinstance(doc, Mapping) else doc
-    if isinstance(doc, Mapping) and "unit" in doc:
-        unit = Unit(doc["unit"])
-    return AnnualSeries(unit, tuple(points))
 
 
 def driver_table_to_csv_text(table: DriverTable) -> str:
@@ -288,32 +282,18 @@ class ScenarioBundle:
 
 
 def bundle_from_dict(doc: Mapping) -> ScenarioBundle:
-    trajectories = []
-    for entry in doc["trajectories"]:
-        trajectories.append(
-            ScenarioTrajectory(
-                name=entry["name"],
-                family=ScenarioFamily(entry["family"]),
-                series=AnnualSeries(Unit(entry["unit"]), tuple(entry["points"])),
-                provenance=entry.get("provenance", ""),
-            )
-        )
-    return ScenarioBundle(tuple(trajectories))
+    """Inverse of :func:`bundle_to_dict`."""
+    return ScenarioBundle(tuple(
+        ScenarioTrajectory(entry["name"], ScenarioFamily(entry["family"]),
+                           AnnualSeries.from_json(entry), provenance=entry.get("provenance", ""))
+        for entry in doc["trajectories"]))
 
 
 def bundle_to_dict(bundle: ScenarioBundle) -> dict:
-    return {
-        "trajectories": [
-            {
-                "name": t.name,
-                "family": t.family.value,
-                "unit": t.series.unit.value,
-                "points": [[y, v] for y, v in t.series.points],
-                "provenance": t.provenance,
-            }
-            for t in bundle.trajectories
-        ]
-    }
+    """Each trajectory's name, family and provenance beside its series' JSON form."""
+    return {"trajectories": [
+        {"name": t.name, "family": t.family.value, **t.series.to_json(), "provenance": t.provenance}
+        for t in bundle.trajectories]}
 
 
 def bundle_to_json_text(bundle: ScenarioBundle) -> str:

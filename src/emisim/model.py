@@ -184,8 +184,8 @@ def fit_linear_regression(table: DriverTable) -> LinearRegressionModel:
     )
 
 
-def fit_model(table: DriverTable, kind: ModelKind) -> EmissionModel:
-    if kind is ModelKind.IMPLIED_INTENSITY:
+def fit_model(table: DriverTable, kind: ModelKind | str) -> EmissionModel:
+    if ModelKind(kind) is ModelKind.IMPLIED_INTENSITY:
         return fit_implied_intensity(table)
     return fit_linear_regression(table)
 
@@ -196,16 +196,10 @@ def fit_model(table: DriverTable, kind: ModelKind) -> EmissionModel:
 
 def model_to_dict(model: EmissionModel) -> dict:
     if isinstance(model, ImpliedIntensityModel):
-        return {
-            "kind": model.kind.value,
-            "kappa": [[y, v] for y, v in model.kappa.points],
-            "diagnostics": model.diagnostics(),
-        }
-    return {
-        "kind": model.kind.value,
-        "coefficients": list(model.coefficients),
-        "diagnostics": model.diagnostics(),
-    }
+        fitted = {"kappa": model.kappa.to_json()["points"]}
+    else:
+        fitted = {"coefficients": list(model.coefficients)}
+    return {"kind": model.kind.value, **fitted, "diagnostics": model.diagnostics()}
 
 
 def model_to_json(model: EmissionModel) -> str:
@@ -215,7 +209,7 @@ def model_to_json(model: EmissionModel) -> str:
 def model_from_dict(doc: Mapping) -> EmissionModel:
     kind = ModelKind(doc["kind"])
     if kind is ModelKind.IMPLIED_INTENSITY:
-        return ImpliedIntensityModel(AnnualSeries(Unit.MT_PER_TWH, tuple(doc["kappa"])))
+        return ImpliedIntensityModel(AnnualSeries.from_json(doc["kappa"], Unit.MT_PER_TWH))
     diag = doc.get("diagnostics", {})
     return LinearRegressionModel(
         coefficients=tuple(float(b) for b in doc["coefficients"]),

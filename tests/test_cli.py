@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from emisim.cli import build_parser, main
 from emisim.ensemble import bands_from_matrix
@@ -20,12 +21,17 @@ TABLE = str(DATA_DIR / "table2.csv")
 BUNDLE = str(DATA_DIR / "ai_co2_scenarios.json")
 
 
-def _run_emisim(*argv, cwd=None, **env):
-    """``python -m emisim`` in a child process that imports this checkout,
-    run in ``cwd`` with ``env`` added to the environment."""
+def _run_python(*args, cwd=None, **env):
+    """``python *args`` in a child process that imports this checkout, run
+    in ``cwd`` with ``env`` added to the environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "emisim", *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           cwd=cwd, env={**os.environ, **env, "PYTHONPATH": path})
+
+
+def _run_emisim(*argv, cwd=None, **env):
+    """``python -m emisim`` in a child process that imports this checkout."""
+    return _run_python("-m", "emisim", *argv, cwd=cwd, **env)
 
 
 def _assert_clean_failure(proc, code):
@@ -207,11 +213,22 @@ def test_simulate_manifest_records_stream_and_environment(tmp_path):
     _simulate(tmp_path, "bands.csv", "--realizations", "10")
     manifest = json.loads((tmp_path / "bands.csv.manifest.json").read_text())
     assert manifest["rng_stream"] == "splitmix-boxmuller-v2"
+    dispatch = opt_func_info(func_name="^(log|tan)$", signature="float64")
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()),
+        "numpy_dispatch": {"log": {"dd": dispatch["log"]["dd"]["current"]},
+                           "tan": {"dd": dispatch["tan"]["dd"]["current"]}},
     }
+
+
+def test_simulate_manifest_starts_no_process(tmp_path):
+    argv = ["simulate", "--input", TABLE, "--realizations", "10", "--out", str(tmp_path / "b.csv")]
+    proc = _run_python("-c", f"import sys; from emisim.cli import main; code = main({argv!r}); "
+                             "print(code, 'subprocess' in sys.modules)")
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 def test_simulate_zero_halfwidth_collapses_bands(tmp_path):
@@ -564,6 +581,12 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               {"cfg.json": '{"halfwidths": {"semis_twh": true, "dc_twh": 0.1, '
                            '"mix_factor": 0.1, "ai_share": 0.1}}'},
               named=["halfwidths", "semis_twh", "True"]),
+        # refused before the run, which would otherwise end in a MemoryError
+        _case("outputs-name-one-file", f"simulate --input TABLE --realizations {10**15} "
+              "--out x.csv --matrix-out ./x.csv", named=["--matrix-out"]),
+        # the bands file is staged with the matrix, so it is not left behind either
+        _case("matrix-out-in-missing-directory", "simulate --input TABLE --realizations 10 "
+              "--out b.csv --matrix-out missing/m.csv", code=3, named=["missing"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,

@@ -68,6 +68,25 @@ def test_series_value_constraints():
     AnnualSeries(Unit.FRACTION, ((2020, 0.0), (2021, 1.0)))
 
 
+_series = st.builds(
+    lambda unit, start, values: AnnualSeries(unit, tuple(enumerate(values, start=start))),
+    st.sampled_from(Unit),
+    st.integers(1900, 2100),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+)
+
+
+@given(_series)
+def test_series_json_round_trip(s):
+    doc = json.loads(json.dumps(s.to_json()))
+    assert AnnualSeries.from_json(doc) == s
+    # bare points, and a document without its unit, take the unit given
+    assert AnnualSeries.from_json(doc["points"], s.unit) == s
+    assert AnnualSeries.from_json({"points": doc["points"]}, s.unit) == s
+    with pytest.raises(ValueError, match="no unit"):
+        AnnualSeries.from_json(doc["points"])
+
+
 def test_series_lookup():
     s = AnnualSeries(Unit.MT_CO2, ((2020, 1.0), (2021, 2.0)))
     assert s.value_at(2021) == 2.0
@@ -267,6 +286,9 @@ def test_config_defaults():
         {"halfwidths": {"semis_twh": True}},
         {"halfwidths": {"dc_twh": "0.1"}},
         {"halfwidths": {"dc_twh": None}},
+        {"realizations": True},
+        {"realizations": 3.0},
+        {"master_seed": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):

@@ -38,7 +38,7 @@ from emisim.errors import (
     MissingHalfwidthError,
 )
 from emisim.ingest import bundled_driver_table
-from emisim.model import fit_implied_intensity, predict_table
+from emisim.model import fit_implied_intensity, fit_model, predict_table
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +396,18 @@ def test_row_blocks_do_not_change_results(table, monkeypatch, mode, kind):
         assert blocked.clamped_draws == whole.clamped_draws
         assert blocked.clamped_predictions == whole.clamped_predictions
     assert whole.clamped_draws > 0
+
+
+@pytest.mark.parametrize("mode", list(CorrelationMode))
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_config_strings_act_as_their_enums(table, mode, kind):
+    by_enum = run_simulation(table, _config(correlation_mode=mode, model_kind=kind))
+    by_string = run_simulation(table, _config(correlation_mode=mode.value, model_kind=kind.value))
+    assert by_string.matrix.tobytes() == by_enum.matrix.tobytes()
+    assert by_string.clamped_draws == by_enum.clamped_draws
+    assert by_string.clamped_predictions == by_enum.clamped_predictions
+    assert by_string.config.to_dict() == by_enum.config.to_dict()
+    assert fit_model(table, kind.value).kind is kind
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
