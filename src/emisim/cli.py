@@ -81,6 +81,8 @@ def write_text_atomic(files: dict[Path, str]) -> None:
             temps[path].write_text(text, encoding="utf-8")
         for path, tmp in temps.items():
             os.replace(tmp, path)
+    except OSError as exc:  # named by the path the caller gave, not by its temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)
@@ -153,6 +155,17 @@ def _resolve_simulation_config(args) -> SimulationConfig:
     return SimulationConfig.from_dict(doc)
 
 
+def _refuse_overwrites(outputs: dict, inputs: dict) -> None:
+    """Refuse, before any work, an output path that names another output or
+    an input; each dict maps a flag to its path, or None where it is unset."""
+    flags = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if path:
+            other = flags.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise EmisimError(f"{flag} and {other} name the same file: {path}")
+
+
 def _emit(args, text: str, json_doc=None, also: dict | None = None) -> None:
     """Write to --out or stdout, honoring --format; the files of ``also`` are
     written with it, all or none."""
@@ -175,6 +188,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_emissions(args) -> int:
+    _refuse_overwrites({"--out": args.out}, {"--input": args.input})
     source = parse_bundle_or_driver_table(args.input)
     if isinstance(source, DriverTable):
         model = fit_model(source, _MODEL_NAMES[args.model or "intensity"])
@@ -196,12 +210,14 @@ def cmd_emissions(args) -> int:
 
 
 def cmd_mean(args) -> int:
+    _refuse_overwrites({"--out": args.out}, {"--input": args.input})
     mean = mean_scenario(list(load_bundle(args.input).trajectories))
     _emit(args, series_to_csv_text(mean), mean.to_json())
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
+    _refuse_overwrites({"--out": args.out}, {"--input": args.input})
     table = parse_driver_csv(args.input)
     model = fit_model(table, _MODEL_NAMES[args.model or "intensity"])
     _emit(args, model_to_json(model))
@@ -212,9 +228,9 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     out = Path(args.out) if args.out else None
     manifest_out = out and out.with_name(out.name + ".manifest.json")
-    paths = [os.path.abspath(p) for p in (args.out, args.matrix_out, manifest_out) if p]
-    if len(set(paths)) < len(paths):
-        raise EmisimError("--out, --matrix-out and the manifest must name different files")
+    _refuse_overwrites(
+        {"--out": args.out, "--matrix-out": args.matrix_out, "the manifest": manifest_out},
+        {"--input": args.input, "--config": args.config, "--halfwidths": args.halfwidths})
     config = _resolve_simulation_config(args)
     table = parse_driver_csv(args.input)
     result = run_simulation(table, config, workers=args.workers)
@@ -249,6 +265,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bands(args) -> int:
+    _refuse_overwrites({"--out": args.out}, {"--input": args.input})
     years, matrix = parse_matrix_csv_text(read_text(args.input))
     band = bands_from_matrix(matrix, years, args.percentiles or SimulationConfig.percentiles)
     _emit(args, band.to_csv_text(), band.to_dict())

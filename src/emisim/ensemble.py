@@ -78,9 +78,9 @@ def _splitmix64(state: np.ndarray, scratch: np.ndarray) -> None:
 
 
 class _NormalKernel:
-    """Writes the standard normals of blocks of at most ``rows``
-    realizations (see :func:`standard_normals`) through two buffers of
-    ``2 * n_pairs * rows`` words, reused from block to block. Besides IEEE
+    """Computes the standard normals of blocks of at most ``rows``
+    realizations (see :func:`standard_normals`) in two buffers of
+    ``2 * n_pairs * rows`` words that it owns and reuses. Besides IEEE
     arithmetic and ``sqrt``, it calls numpy's ``log`` and ``tan`` alone."""
 
     def __init__(self, master_seed: int, n_slots: int, rows: int):
@@ -94,17 +94,18 @@ class _NormalKernel:
             2 * n_pairs * _SPLITMIX_GAMMA & _MASK64)
         self.slot_gammas = (np.arange(2 * n_pairs, dtype=np.uint64) * _GAMMA).reshape(n_pairs, 2).T
         self.states = np.empty((2, n_pairs, rows), dtype=np.uint64)
-        self.trig = np.empty((2, n_pairs, rows))
+        self.normals = np.empty((n_pairs, 2, rows))
+        # _splitmix64's scratch in the layout of states: a transposed view is slower
+        self.scratch = self.normals.reshape(2, n_pairs, rows).view(np.uint64)
 
-    def fill(self, out: np.ndarray, start: int) -> None:
-        """Write the normals of realizations ``start .. start + rows - 1``
-        into ``out``, an ``(n_pairs, 2, rows)`` float64 array whose
-        ``[p, c, r]`` is slot ``2p + c`` of realization ``start + r``."""
-        rows = out.shape[-1]
-        states, trig = self.states[:, :, :rows], self.trig[:, :, :rows]
+    def fill(self, start: int, rows: int) -> np.ndarray:
+        """The normals of realizations ``start .. start + rows - 1`` as a
+        ``(2 * n_pairs, rows)`` view of the kernel's buffer, valid until the
+        next call, whose ``[s, r]`` is slot ``s`` of realization ``start + r``."""
+        states, normals = self.states[:, :, :rows], self.normals[:, :, :rows]
         offset = (self.first + (2 * start * self.n_pairs + 1) * _SPLITMIX_GAMMA) & _MASK64
         np.add(self.slot_gammas[:, :, None] + np.uint64(offset), self.row_gammas[:rows], out=states)
-        _splitmix64(states, trig.view(np.uint64))
+        _splitmix64(states, self.scratch[:, :, :rows])
         states >>= 11
         # m < 2**53 converts exactly, and so does u1 = m 2**-53 + 2**-53; a
         # power of two scales exactly, so m (pi 2**-53) rounds as pi u2
@@ -120,12 +121,13 @@ class _NormalKernel:
         # |t| < 1.7e16 and 1 + t**2 stays finite
         np.multiply(m[1], math.pi * 2.0**-53, out=angle)
         np.tan(angle, out=angle)
-        np.add(angle, angle, out=trig[1])
+        np.add(angle, angle, out=normals[:, 1])
         np.square(angle, out=angle)
-        np.subtract(1.0, angle, out=trig[0])
+        np.subtract(1.0, angle, out=normals[:, 0])
         angle += 1.0
         radius /= angle
-        np.multiply(radius[:, None, :], trig.transpose(1, 0, 2), out=out)
+        normals *= radius[:, None, :]
+        return normals.reshape(2 * self.n_pairs, rows)
 
 
 def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> np.ndarray:
@@ -149,16 +151,11 @@ def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> n
     ``sin``, so the bytes depend on numpy's ``log`` and ``tan`` (whose SIMD
     code numpy picks for each CPU), not on its ``cos`` or ``sin``.
 
-    The one kernel behind this function writes a block slot-major, as
-    ``(n_pairs, 2, rows)``, into memory its caller gives, with no
-    temporaries that grow with the block; :func:`run_simulation` gives it
-    the driver block itself. This wrapper gives it an array of its own and
-    returns the transposed view.
+    This wrapper and :func:`run_simulation` read the ``(2 * n_pairs, rows)``
+    block that one kernel computes slot-major in buffers of its own, with no
+    temporaries that grow with the block; here through its transposed view.
     """
-    kernel = _NormalKernel(master_seed, n_slots, stop - start)
-    out = np.empty((kernel.n_pairs, 2, stop - start))
-    kernel.fill(out, start)
-    return out.reshape(2 * kernel.n_pairs, stop - start)[:n_slots].T
+    return _NormalKernel(master_seed, n_slots, stop - start).fill(start, stop - start)[:n_slots].T
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +282,12 @@ def run_simulation(
     The result is a pure function of ``(table, config)``: each row depends
     only on its own realization index (see :func:`standard_normals`), so a
     larger ensemble keeps the rows of a smaller one. The draws are made in
-    blocks of rows. The kernel writes a block slot-major: in per-year mode
-    straight into the driver arrays, which are then scaled and shifted in
-    place, and in per-variable mode into one (variable x 1 x rows) buffer
-    that a broadcast multiply spreads over the years. Besides the driver
-    arrays and the model's output, only two block-sized kernel buffers are
-    held, and they are freed before the predict. ``workers`` is kept for
-    compatibility; neither the output nor the speed depends on it.
+    blocks of rows. The kernel computes each block slot-major into one buffer
+    of its own, and one broadcast multiply by sigma writes it into the
+    driver arrays, which are then shifted and clamped in place. Besides the
+    driver arrays and the model's output, only the kernel's two block-sized
+    buffers are held, and they are freed before the predict. ``workers`` is
+    kept for compatibility; neither the output nor the speed depends on it.
     """
     if model is None:
         model = fit_model(table, config.model_kind)
@@ -306,22 +302,17 @@ def run_simulation(
     drivers = np.empty((n_vars, n_years, n))
     step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
     kernel = _NormalKernel(config.master_seed, n_slots, min(step, n))
-    # the kernel writes slot s = 2p + c to [p, c] of a pairs view; the four
-    # variables make n_slots even. Per-year slot s is variable s // n_years,
-    # year s % n_years, so its normals go straight into the driver block;
-    # per-variable mode draws one slot per variable, shared by every year.
-    z = drivers if per_year else np.empty((n_vars, 1, min(step, n)))
-    pairs = z.reshape(-1, 2, z.shape[-1])
     sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
     lower, upper = perturbation.lower[:, None, None], perturbation.upper[:, None, None]
     capped = [(k, bound) for k, bound in enumerate(perturbation.upper.tolist()) if bound < math.inf]
     clamped = 0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        block = slice(lo, hi) if per_year else slice(0, hi - lo)
-        kernel.fill(pairs[:, :, block], lo)
+        # per-year mode has one slot per (variable, year), per-variable mode
+        # one per variable, which the multiply broadcasts over the years
+        z = kernel.fill(lo, hi - lo).reshape(n_vars, -1, hi - lo)
         raw = drivers[:, :, lo:hi]
-        np.multiply(z[:, :, block], sigma, out=raw)
+        np.multiply(z, sigma, out=raw)
         raw += mean
         # most blocks hold no draw out of bounds; min and max find that out
         # without a full-size temporary
@@ -329,7 +320,7 @@ def run_simulation(
             clamped += int(np.count_nonzero(raw < lower))
             clamped += sum(int(np.count_nonzero(raw[k] > bound)) for k, bound in capped)
             np.clip(raw, lower, upper, out=raw)
-    del kernel, z, pairs  # freed before the model's output adds to the peak
+    del kernel, z  # freed before the model's output adds to the peak
     matrix = model.predict_grid(perturbation.years, *(driver.T for driver in drivers))
     del drivers, raw  # freed before EnsembleResult's checks add their temporaries to the peak
     pred_clamped = (
@@ -392,7 +383,8 @@ class PercentileBands:
         return float(self.mean[self.years.index(year)])
 
     def to_csv_text(self) -> str:
-        header = ["year", "mean"] + [f"p{p:g}" for p in self.percentiles]
+        # repr reads back as the percentile, so distinct ones get distinct labels
+        header = ["year", "mean"] + [f"p{p!r}".removesuffix(".0") for p in self.percentiles]
         rows = zip(self.years, self.mean.tolist(), self.levels.tolist())
         return csv_text(header, ([str(y), repr(m), *map(repr, levels)] for y, m, levels in rows))
 

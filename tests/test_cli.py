@@ -492,6 +492,8 @@ _FOUR_ROWS = {"t.csv": "".join(Path(TABLE).read_text().splitlines(keepends=True)
 _INFINITE_HW = {"hw.json": json.dumps({"semis_twh": 0.1, "dc_twh": 1e307, "mix_factor": 0.1,
                                         "ai_share": 0.1})}
 _PARSEC_HW = {"hw.json": '{"dc_twh": {"unit": "parsec", "points": []}}'}
+_TENTH_HW = {"hw.json": json.dumps({"semis_twh": 0.1, "dc_twh": 0.1, "mix_factor": 0.1,
+                                     "ai_share": 0.1})}
 _HUGE_HW = {"hw.json": json.dumps({"semis_twh": 0.1, "dc_twh": 1e305, "mix_factor": 0.1,
                                     "ai_share": 0.1})}
 _DRIVER_ROW = '"semis_twh": 1, "dc_twh": 1, "mix_factor": 0.5, "ai_share": 0.5, "co2_mt": 1'
@@ -586,7 +588,24 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               "--out x.csv --matrix-out ./x.csv", named=["--matrix-out"]),
         # the bands file is staged with the matrix, so it is not left behind either
         _case("matrix-out-in-missing-directory", "simulate --input TABLE --realizations 10 "
-              "--out b.csv --matrix-out missing/m.csv", code=3, named=["missing"]),
+              "--out b.csv --matrix-out missing/m.csv", code=3, named=["missing/m.csv"]),
+        # an output that names an input is refused before the input is read
+        _case("matrix-out-overwrites-input", "simulate --input t.csv --realizations 10 "
+              "--matrix-out t.csv", {"t.csv": Path(TABLE).read_text()},
+              named=["--matrix-out", "--input"]),
+        _case("out-overwrites-config", "simulate --input TABLE --config cfg.json --out ./cfg.json",
+              {"cfg.json": '{"realizations": 10}'}, named=["--out", "--config"]),
+        _case("matrix-out-overwrites-halfwidths", "simulate --input TABLE --realizations 10 "
+              "--halfwidths hw.json --out b.csv --matrix-out hw.json",
+              _TENTH_HW, named=["--matrix-out", "--halfwidths"]),
+        _case("bands-out-overwrites-input", "bands --input m.csv --out m.csv",
+              {"m.csv": "2020,2021\n1.0,2.0\n3.0,4.0\n"}, named=["--out", "--input"]),
+        _case("mean-out-overwrites-input", "mean --input b.json --out b.json",
+              {"b.json": Path(BUNDLE).read_text()}, named=["--out", "--input"]),
+        _case("fit-out-overwrites-input", "fit --input t.csv --out ./t.csv",
+              {"t.csv": Path(TABLE).read_text()}, named=["--out", "--input"]),
+        _case("emissions-out-overwrites-input", "emissions --input t.csv --out t.csv",
+              {"t.csv": Path(TABLE).read_text()}, named=["--out", "--input"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
@@ -601,8 +620,11 @@ def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, f
     assert proc.stdout == ""
     for word in named:
         assert word in proc.stderr
-    # no output file either
+    assert ".tmp" not in proc.stderr  # a failed write names the path given, not its temp file
+    # no output file either, and every input keeps its bytes
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name, text in files.items():
+        assert (tmp_path / name).read_text() == text
 
 
 # Digests of outputs made of IEEE products, quotients and math.fsum means
@@ -633,6 +655,16 @@ def test_output_bytes_are_pinned(tmp_path, argv, digest):
 @pytest.mark.parametrize("command", ["validate", "mean", "bands"])
 def test_missing_input_is_an_io_error(tmp_path, command):
     _assert_clean_failure(_run_emisim(command, "--input", str(tmp_path / "nope.json")), 3)
+
+
+def test_output_onto_a_directory_names_the_directory(tmp_path, capsys):
+    # the rename onto the directory fails, and the message names --out, not the temp file
+    target = tmp_path / "d"
+    target.mkdir()
+    assert main(["mean", "--input", BUNDLE, "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert f"'{target}'" in err and ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 # ---------------------------------------------------------------------------

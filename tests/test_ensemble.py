@@ -1,10 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 from scipy import stats
 from scipy.special import ndtri  # independent quantile oracle
 
@@ -266,37 +270,78 @@ def _box_muller_oracle(m1, m2):
     return r, r * np.stack([np.cos(angle), np.sin(angle)])
 
 
-#: sha256 of standard_normals(42, 5, 1029, n_slots).tobytes() under RNG_STREAM
+#: The SIMD target numpy's float64 log dispatches to. The stream's bytes and
+#: those of its v1 reference follow log; X86_V3 (AVX2) and the baseline give
+#: the same bytes, X86_V4 (AVX-512) others.
+_LOG_LOOPS = opt_func_info(func_name="^log$", signature="float64")["log"]
+_LOG_TARGET = next(iter(_LOG_LOOPS.values()))["current"]
+
+#: By _LOG_TARGET and n_slots: the sha256 of
+#: standard_normals(42, 5, 1029, n_slots).tobytes() under RNG_STREAM (v2), and
+#: of the same uniforms under splitmix-boxmuller-v1, which took cos and sin
+#: from numpy; v2 changed the angle step alone, so the v1 bytes are still the
+#: Box-Muller oracle of the stream's uniforms and pin its counters, uniforms,
+#: radius and slot layout apart from the tangent step
 _STREAM_DIGESTS = {
-    1: "4c39835abdab10e5c2526dcfae9ff0f18722ebf24d6c263b39e66a09a5182dda",
-    3: "e5df9633e13424b4a4327e23fb4e2669f10a5992f9ed7f0778a0c72eaad1a954",
-    4: "834b5dd093d287fcb7b97a29be41023d34ed2a7f4e6e3ba886a900a6fa9f90dd",
-    64: "3264bc1eb15cf54367ff3b300bfd0642a2c36b42f8d7b3c5bce47f9007af79f1",
+    "X86_V4": {
+        1: ("4c39835abdab10e5c2526dcfae9ff0f18722ebf24d6c263b39e66a09a5182dda",
+            "ad84b1c5fb96206cb4291f2bb6b575143aeb2a15968a19b00ebe76666ccb3691"),
+        3: ("e5df9633e13424b4a4327e23fb4e2669f10a5992f9ed7f0778a0c72eaad1a954",
+            "ba97d0f6f4078dbdea392c5982aa54e3e9c18416cb327590e2f276218154fd93"),
+        4: ("834b5dd093d287fcb7b97a29be41023d34ed2a7f4e6e3ba886a900a6fa9f90dd",
+            "a4a7b18f7f17d84dff5502763f8f67b49e6dcaa4b13f04c40835861809f696c5"),
+        64: ("3264bc1eb15cf54367ff3b300bfd0642a2c36b42f8d7b3c5bce47f9007af79f1",
+             "3b8790bb4f5b67b41b68c9dbcb6691888e911af116f3d54b33365c246f2c24f5"),
+    },
+    "X86_V3": {
+        1: ("4c39835abdab10e5c2526dcfae9ff0f18722ebf24d6c263b39e66a09a5182dda",
+            "f01a50c0d2458e9025272a2c49a107da98914dcfaa3913e9aef2778cdec9106b"),
+        3: ("af62c3e26ea5802173ff07dfe4118c938887246b0412f530f3a0db1337d3e5fd",
+            "6d5612c68e4e304c6adaaa7888598400be19d74ad63ad879dfae1dc2550ed296"),
+        4: ("9af78a0ef8d0a00938cf0d86ba571bf8c151dc6882fdfa1a906edf7bbec08c77",
+            "148923cd8fdeddba90499836a07ee72e717fe4e3a14dfe4b097e36bcd84091e3"),
+        64: ("2f51d90b5d04443a2b9692878a5d7973f81f15b9fb622505e34cf5a5ef8de0fb",
+             "54947ea6ecaa8de695e5ce0e469f3a8722ce9e12aaa6a1d9e96638267643175d"),
+    },
 }
+_STREAM_DIGESTS["baseline(X86_V2)"] = _STREAM_DIGESTS["X86_V3"]
 
 
-# digest: the same bytes under splitmix-boxmuller-v1, which took cos and sin
-# from numpy; v2 changed the angle step alone, so the v1 bytes are still the
-# Box-Muller oracle of the stream's uniforms and pin its counters, uniforms,
-# radius and slot layout apart from the tangent step
-@pytest.mark.parametrize("n_slots, digest", [
-    (1, "ad84b1c5fb96206cb4291f2bb6b575143aeb2a15968a19b00ebe76666ccb3691"),
-    (3, "ba97d0f6f4078dbdea392c5982aa54e3e9c18416cb327590e2f276218154fd93"),
-    (4, "a4a7b18f7f17d84dff5502763f8f67b49e6dcaa4b13f04c40835861809f696c5"),
-    (64, "3b8790bb4f5b67b41b68c9dbcb6691888e911af116f3d54b33365c246f2c24f5"),
-])
-def test_standard_normals_bytes_are_pinned(n_slots, digest):
+# the case ids carry the X86_V4 v1 digests, as they have since v1
+_PIN_IDS = {n: f"{n}-{v1}" for n, (_, v1) in _STREAM_DIGESTS["X86_V4"].items()}
+
+
+@pytest.mark.parametrize("n_slots", list(_PIN_IDS), ids=list(_PIN_IDS.values()))
+def test_standard_normals_bytes_are_pinned(n_slots):
     # the bytes of RNG_STREAM; run_simulation draws only even slot counts, so
     # the odd counts, whose last pair drops its sine, are pinned here
+    assert _LOG_TARGET in _STREAM_DIGESTS, f"no stream digests recorded for {_LOG_TARGET} log"
+    v2_digest, v1_digest = _STREAM_DIGESTS[_LOG_TARGET][n_slots]
     z = standard_normals(42, 5, 1029, n_slots)
     assert z.shape == (1024, n_slots) and z.dtype == np.float64
-    assert hashlib.sha256(z.tobytes()).hexdigest() == _STREAM_DIGESTS[n_slots]
+    assert hashlib.sha256(z.tobytes()).hexdigest() == v2_digest
     n_pairs = -(-n_slots // 2)
     r, v1 = _box_muller_oracle(*_pair_integers(42, 5 * n_pairs, 1029 * n_pairs))
     v1 = v1.reshape(2, 1024, n_pairs).transpose(1, 2, 0).reshape(1024, 2 * n_pairs)[:, :n_slots]
-    assert hashlib.sha256(v1.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(v1.tobytes()).hexdigest() == v1_digest
     r = np.repeat(r.reshape(1024, n_pairs), 2, axis=1)[:, :n_slots]
     assert np.all(np.abs(z - v1) <= 4.0 * _EPS * r)
+
+
+@pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
+def test_stream_pin_holds_on_other_log_targets(disabled):
+    # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the pin runs in
+    # a child process that dispatches log as a host without AVX-512 (X86_V3)
+    # or without AVX2 either (the baseline) would
+    repo = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_standard_normals_bytes_are_pinned"],
+        capture_output=True, text=True, cwd=repo,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(_PIN_IDS)} passed" in proc.stdout
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
@@ -320,15 +365,14 @@ def test_box_muller_edge_uniforms_give_finite_normals(monkeypatch):
         state[1, 0] = np.tile(edges, 4) << np.uint64(11)
 
     monkeypatch.setattr(ensemble, "_splitmix64", every_pair_of_edges)
-    out = np.empty((1, 2, 16))
-    kernel.fill(out, 0)
+    out = kernel.fill(0, 16)
     assert np.isfinite(out).all()
     r, want = _box_muller_oracle(np.repeat(edges, 4), np.tile(edges, 4))
-    assert np.all(np.abs(out[0] - want) <= 4.0 * _EPS * r)
+    assert np.all(np.abs(out - want) <= 4.0 * _EPS * r)
     # u2 = 0, 1/4 and 1/2: (cos, sin) = (1, 0), (~1e-16, 1) and (-1, ~1e-16)
-    assert out[0, :, 0].tolist() == [r[0], 0.0]
-    assert out[0, 1, 1] == r[1] and abs(out[0, 0, 1]) <= _EPS * r[1]
-    assert out[0, 0, 2] == -r[2] and abs(out[0, 1, 2]) <= _EPS * r[2]
+    assert out[:, 0].tolist() == [r[0], 0.0]
+    assert out[1, 1] == r[1] and abs(out[0, 1]) <= _EPS * r[1]
+    assert out[0, 2] == -r[2] and abs(out[1, 2]) <= _EPS * r[2]
 
 
 def test_standard_normals_distribution():
@@ -677,6 +721,22 @@ _INTEGER_MATRIX = ((np.arange(16000) * 7919) % 1009).reshape(1000, 16) / 7.0
 def test_band_bytes_are_pinned(percentiles, digest):
     text = bands_from_matrix(_INTEGER_MATRIX, range(2020, 2036), percentiles).to_csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("percentiles, header", [
+    ((5.0, 5.0000001), "p5,p5.0000001"),
+    ((1e-320, 50.0), "p1e-320,p50"),
+    ((0.1, 2.5, 50.0, 97.5, 99.9), "p0.1,p2.5,p50,p97.5,p99.9"),
+    ((33.333333333333336, 99.99999), "p33.333333333333336,p99.99999"),
+])
+def test_band_labels_are_distinct_and_read_back(percentiles, header):
+    # ":g" keeps six digits: it wrote p5,p5 for 5 and 5.0000001, and
+    # p9.99989e-321 for 1e-320
+    text = bands_from_matrix(_INTEGER_MATRIX[:, :1], (2020,), percentiles).to_csv_text()
+    labels = text.split("\n")[0].split(",")[2:]
+    assert ",".join(labels) == header
+    assert [float(label[1:]) for label in labels] == list(percentiles)
+    assert len(set(labels)) == len(labels)
 
 
 def test_bands_csv_layout(table):
