@@ -51,7 +51,7 @@ from .errors import (
     MissingHalfwidthError,
 )
 from .ingest import csv_text
-from .model import EmissionModel, fit_model
+from .model import READ_VARIABLES, EmissionModel, fit_model
 
 #: Version of the random stream behind every simulated number.
 RNG_STREAM = "splitmix-boxmuller-v2"
@@ -284,7 +284,11 @@ def run_simulation(
     larger ensemble keeps the rows of a smaller one. The draws are made in
     blocks of rows. The kernel computes each block slot-major into one buffer
     of its own, and one broadcast multiply by sigma writes it into the
-    driver arrays, which are then shifted and clamped in place. Besides the
+    driver arrays, which are then shifted and clamped in place. Only the
+    variables the model reads (``READ_VARIABLES`` of its kind) get a driver
+    array; ``predict_grid`` gets ``None`` for the others, whose out-of-bounds
+    draws are counted from a block-sized temporary. Each slot's smallest and
+    largest normal tell whether a block holds such a draw. Besides the
     driver arrays and the model's output, only the kernel's two block-sized
     buffers are held, and they are freed before the predict. ``workers`` is
     kept for compatibility; neither the output nor the speed depends on it.
@@ -296,15 +300,17 @@ def run_simulation(
     per_year = config.correlation_mode is CorrelationMode.INDEPENDENT_PER_YEAR
     n_slots = n_vars * (n_years if per_year else 1)
     n = config.realizations
+    # the model reads the variables from `skip` on; the ones before it are
+    # drawn and their clamped draws counted, but no plane holds them
+    skip = n_vars - len(READ_VARIABLES[model.kind])
     # (variable, year, realization): each driver is a column-major
     # (realizations x years) view, which keeps numpy's inner loops long
-    # when z has one column, and a block of rows is one slice for all four
-    drivers = np.empty((n_vars, n_years, n))
+    # when z has one column, and a block of rows is one slice for all of them
+    drivers = np.empty((n_vars - skip, n_years, n))
     step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
     kernel = _NormalKernel(config.master_seed, n_slots, min(step, n))
     sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
     lower, upper = perturbation.lower[:, None, None], perturbation.upper[:, None, None]
-    capped = [(k, bound) for k, bound in enumerate(perturbation.upper.tolist()) if bound < math.inf]
     clamped = 0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -312,16 +318,22 @@ def run_simulation(
         # one per variable, which the multiply broadcasts over the years
         z = kernel.fill(lo, hi - lo).reshape(n_vars, -1, hi - lo)
         raw = drivers[:, :, lo:hi]
-        np.multiply(z, sigma, out=raw)
-        raw += mean
-        # most blocks hold no draw out of bounds; min and max find that out
-        # without a full-size temporary
-        if (raw.min(axis=2) < lower[:, :, 0]).any() or (raw.max(axis=2) > upper[:, :, 0]).any():
-            clamped += int(np.count_nonzero(raw < lower))
-            clamped += sum(int(np.count_nonzero(raw[k] > bound)) for k, bound in capped)
-            np.clip(raw, lower, upper, out=raw)
+        np.multiply(z[skip:], sigma[skip:], out=raw)
+        raw += mean[skip:]
+        # sigma >= 0 is finite and rounding is monotone, so each slot's
+        # extreme normals give its draws' exact extremes, overflow included
+        low = z.min(axis=2, keepdims=True) * sigma + mean
+        high = z.max(axis=2, keepdims=True) * sigma + mean
+        out = ((low < lower) | (high > upper)).any(axis=(1, 2))
+        if out.any():
+            for k in np.flatnonzero(out):
+                draws = raw[k - skip] if k >= skip else z[k] * sigma[k] + mean[k]
+                clamped += int(np.count_nonzero(draws < lower[k]))
+                clamped += int(np.count_nonzero(draws > upper[k]))
+            np.clip(raw, lower[skip:], upper[skip:], out=raw)
     del kernel, z  # freed before the model's output adds to the peak
-    matrix = model.predict_grid(perturbation.years, *(driver.T for driver in drivers))
+    matrix = model.predict_grid(perturbation.years, *[None] * skip,
+                                *(driver.T for driver in drivers))
     del drivers, raw  # freed before EnsembleResult's checks add their temporaries to the peak
     pred_clamped = (
         int(np.count_nonzero(matrix == 0.0)) if model.kind is ModelKind.LINEAR_REGRESSION else 0

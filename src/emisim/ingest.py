@@ -65,16 +65,25 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
 # CSV / JSON parsing
 # ---------------------------------------------------------------------------
 
+def _plain_number(cell: str, convert):
+    """``convert(cell)`` for ``int`` or ``float``. Both also read digit-group
+    underscores and non-ASCII digits, which the formats exclude, so a cell
+    with either raises ValueError here."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"not a plain number: {cell!r}")
+    return convert(cell)
+
+
 def _parse_int(cell: str, line: int, column: int, what: str) -> int:
     try:
-        return int(cell)
+        return _plain_number(cell, int)
     except ValueError:
         raise SchemaError(line, column, f"{what} {cell!r} is not an integer") from None
 
 
 def _parse_float(cell: str, line: int, column: int, what: str) -> float:
     try:
-        value = float(cell)
+        value = _plain_number(cell, float)
     except ValueError:
         raise SchemaError(line, column, f"{what} {cell!r} is not a number") from None
     if not math.isfinite(value):
@@ -143,7 +152,7 @@ def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     are skipped."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
-        years = tuple(int(c) for c in lines[0].split(","))
+        years = tuple(_plain_number(c.strip(), int) for c in lines[0].split(","))
         if (len(lines) > 1 and all(a < b for a, b in zip(years, years[1:]))
                 and (matrix := _loadtxt(lines[1:])).shape[1] == len(years)):
             return years, matrix

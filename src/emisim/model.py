@@ -56,7 +56,8 @@ class ImpliedIntensityModel:
             ) from None
 
     def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
-        """Vectorized prediction; driver arrays have years on the last axis."""
+        """Vectorized prediction; driver arrays have years on the last axis.
+        ``semis_twh`` is not read and may be ``None``."""
         kappa_row = np.array([self.kappa_at(int(y)) for y in years])
         # one output array, multiplied in place in the order kappa * dc * ai * mix,
         # which fixes the bytes
@@ -127,6 +128,13 @@ class LinearRegressionModel:
 
 
 EmissionModel = ImpliedIntensityModel | LinearRegressionModel
+
+#: The driver variables that ``predict_grid`` reads, by model kind: always a
+#: tail of ``DRIVER_VARIABLES``, since only the intensity form skips one, semis_twh
+READ_VARIABLES = {
+    ModelKind.IMPLIED_INTENSITY: DRIVER_VARIABLES[1:],
+    ModelKind.LINEAR_REGRESSION: DRIVER_VARIABLES,
+}
 
 
 def predict_table(model: EmissionModel, table: DriverTable) -> np.ndarray:

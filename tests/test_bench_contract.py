@@ -32,8 +32,12 @@ def test_benchmark_workload_runs_and_passes_its_checks():
 
 
 # simulate-per-variable checks that per-variable draws are shared across
-# years; matrix-roundtrip that `emisim bands` on the matrix gives simulate's
-# bands byte for byte
-@pytest.mark.parametrize("workload", ["simulate-per-variable", "matrix-roundtrip"])
-def test_benchmark_workload_checks_pass(workload):
-    _assert_workload_passes(workload, "0")
+# years, and traced, that CountingModel passes on the semis_twh plane the
+# intensity model does not read (None); matrix-roundtrip that `emisim bands`
+# on the matrix gives simulate's bands byte for byte
+@pytest.mark.parametrize("workload,trace", [
+    pytest.param("simulate-per-variable", "1", id="simulate-per-variable"),
+    pytest.param("matrix-roundtrip", "0", id="matrix-roundtrip"),
+])
+def test_benchmark_workload_checks_pass(workload, trace):
+    _assert_workload_passes(workload, trace)

@@ -606,6 +606,12 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               {"t.csv": Path(TABLE).read_text()}, named=["--out", "--input"]),
         _case("emissions-out-overwrites-input", "emissions --input t.csv --out t.csv",
               {"t.csv": Path(TABLE).read_text()}, named=["--out", "--input"]),
+        _case("driver-csv-underscore-year", "validate --input t.csv",
+              {"t.csv": Path(TABLE).read_text().replace("\n2020,", "\n2_020,")},
+              named=["line 2, column 1", "'2_020'"]),
+        _case("matrix-non-ascii-year", "bands --input m.csv --out b.csv",
+              {"m.csv": "2020,\u0662\u0660\u0662\u0661\n1.0,2.0\n"},
+              named=["line 1, column 2", "year"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,

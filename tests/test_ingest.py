@@ -124,6 +124,16 @@ def test_series_csv_parse_and_errors():
         (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,91\r,269,0.62,0.02,1.03\n", 3, 1),
         (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2020,1\r2021,2\n", 2, 1),
         (parse_inference_table_text, "task,energy_wh\n\n" + "x" * 131_073 + ",1\n", 3, 1),
+        # int() and float() read digit-group underscores and non-ASCII digits;
+        # the formats take neither
+        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2020,1_5\n", 2, 2),
+        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2_020,1\n", 2, 1),
+        (lambda text: parse_series_csv_text(text, Unit.TWH),
+         "year,value\n\u0662\u0660\u0662\u0660,1\n", 2, 1),
+        (parse_driver_csv_text, DRIVER_HEADER + "\n2020,91,2\u0666\u0669,0.62,0.02,1.03\n", 2, 3),
+        (parse_inference_table_text, "task,energy_wh\ntext_generation,4_7\n", 2, 2),
+        (parse_matrix_csv_text, "2_020,2021\n1,2\n", 1, 1),
+        (parse_matrix_csv_text, "\n2020,\u0662\u0660\u0662\u0661\n1,2\n", 2, 2),
     ],
 )
 def test_parse_errors_count_blank_lines(parse, text, line, column):
