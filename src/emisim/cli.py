@@ -44,6 +44,7 @@ from .core import (
 from .ensemble import RNG_STREAM, bands, bands_from_matrix, run_simulation
 from .errors import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EmisimError
 from .ingest import (
+    _plain_number,
     bundled_inference_table,
     cagr_value,
     csv_text,
@@ -108,9 +109,22 @@ def _environment() -> dict:
 # Input helpers
 # ---------------------------------------------------------------------------
 
+def _plain(convert):
+    """The argparse ``type`` that reads a flag as ``convert`` (``int`` or
+    ``float``) does, without digit-group underscores or non-ASCII digits; it
+    keeps the name, so a bad value reads "invalid int value"."""
+    def parse(text: str):
+        return _plain_number(text, convert)
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_INT, _FLOAT = _plain(int), _plain(float)
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _INT(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -120,7 +134,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_percentiles(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in text.split(","))
+        return tuple(map(_FLOAT, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad percentile list {text!r}") from None
 
@@ -151,7 +165,7 @@ def _resolve_simulation_config(args) -> SimulationConfig:
     }
     doc.update((key, value) for key, value in flags.items() if value is not None)
     if "master_seed" not in doc and "EMISIM_SEED" in os.environ:
-        doc["master_seed"] = converted("EMISIM_SEED", int, os.environ["EMISIM_SEED"])
+        doc["master_seed"] = converted("EMISIM_SEED", _INT, os.environ["EMISIM_SEED"])
     return SimulationConfig.from_dict(doc)
 
 
@@ -340,10 +354,11 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="driver CSV (or JSON) path")
     p.add_argument("--config", help="JSON file shaped like a manifest's config block; flags beat it")
     p.add_argument("--model", choices=sorted(_MODEL_NAMES), help="model kind (default intensity)")
-    p.add_argument("--realizations", type=int, help="ensemble size (default 10000)")
-    p.add_argument("--seed", type=int, help="64-bit master seed (default EMISIM_SEED or 0)")
-    p.add_argument("--ci-level", type=float, dest="ci_level", help="confidence level (default 0.99)")
-    p.add_argument("--halfwidth-pct", type=float, dest="halfwidth_pct",
+    p.add_argument("--realizations", type=_INT, help="ensemble size (default 10000)")
+    p.add_argument("--seed", type=_INT, help="64-bit master seed (default EMISIM_SEED or 0)")
+    p.add_argument("--ci-level", type=_FLOAT, dest="ci_level",
+                   help="confidence level (default 0.99)")
+    p.add_argument("--halfwidth-pct", type=_FLOAT, dest="halfwidth_pct",
                    help="halfwidth for every variable, as fraction of its mean (default 0.10)")
     p.add_argument("--halfwidths", help="JSON file of per-variable halfwidths")
     p.add_argument("--correlation", choices=[mode.value for mode in CorrelationMode],
@@ -366,21 +381,21 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("equiv", help="American-home equivalence of an emission amount")
-    p.add_argument("co2_mt", type=float, help="emissions in Mt CO2 per year")
+    p.add_argument("co2_mt", type=_FLOAT, help="emissions in Mt CO2 per year")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("project", help="compound-growth or doubling-time projection")
-    p.add_argument("--base", type=float, required=True, help="starting value")
-    p.add_argument("--rate", type=float, help="annual growth rate (CAGR mode)")
-    p.add_argument("--years", type=int, help="number of years (CAGR mode)")
-    p.add_argument("--doubling-months", type=float, dest="doubling_months",
+    p.add_argument("--base", type=_FLOAT, required=True, help="starting value")
+    p.add_argument("--rate", type=_FLOAT, help="annual growth rate (CAGR mode)")
+    p.add_argument("--years", type=_INT, help="number of years (CAGR mode)")
+    p.add_argument("--doubling-months", type=_FLOAT, dest="doubling_months",
                    help="doubling period in months (doubling mode)")
-    p.add_argument("--horizon", type=float, help="horizon in months (doubling mode)")
+    p.add_argument("--horizon", type=_FLOAT, help="horizon in months (doubling mode)")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("inference-energy", help="energy use of AI inference tasks")
     p.add_argument("task", help="task name, e.g. image_generation")
-    p.add_argument("--count", type=int, default=1, help="number of task units (default 1)")
+    p.add_argument("--count", type=_INT, default=1, help="number of task units (default 1)")
     p.set_defaults(func=cmd_inference_energy)
 
     return parser

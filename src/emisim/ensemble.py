@@ -50,7 +50,7 @@ from .errors import (
     InvalidLevelError,
     MissingHalfwidthError,
 )
-from .ingest import csv_text
+from .ingest import csv_text, matrix_csv_text
 from .model import READ_VARIABLES, EmissionModel, fit_model
 
 #: Version of the random stream behind every simulated number.
@@ -265,9 +265,10 @@ class EnsembleResult:
             raise ValueError("negative emission values in ensemble")
 
     def to_csv_text(self) -> str:
-        """One row per realization, one column per year."""
-        # one row of Python floats at a time keeps the conversion's memory small
-        return csv_text(map(str, self.years), (map(repr, row.tolist()) for row in self.matrix))
+        """The matrix CSV: a header of years, then one row per realization,
+        each cell its value's ``repr``, the shortest decimal that reads back
+        as the same double (see :func:`emisim.ingest.matrix_csv_text`)."""
+        return matrix_csv_text(self.years, self.matrix)
 
 
 def run_simulation(

@@ -38,6 +38,8 @@ def test_benchmark_workload_runs_and_passes_its_checks():
 @pytest.mark.parametrize("workload,trace", [
     pytest.param("simulate-per-variable", "1", id="simulate-per-variable"),
     pytest.param("matrix-roundtrip", "0", id="matrix-roundtrip"),
+    # the traced run wraps EnsembleResult.to_csv_text by name
+    pytest.param("matrix-roundtrip", "1", id="matrix-roundtrip-traced"),
 ])
 def test_benchmark_workload_checks_pass(workload, trace):
     _assert_workload_passes(workload, trace)

@@ -86,6 +86,11 @@ def test_degenerate_fit_is_numeric_error(tmp_path, capsys):
 def test_usage_errors_exit_1():
     assert main(["no-such-command"]) == 1
     assert main(["validate"]) == 1  # missing --input
+    # number flags take neither digit-group underscores nor non-ASCII digits
+    assert main(["equiv", "1_0"]) == 1
+    assert main(["project", "--base", "1", "--rate", "0.1", "--years", "1_0"]) == 1
+    assert main(["project", "--base", "\u0661", "--doubling-months", "1", "--horizon", "1"]) == 1
+    assert main(["inference-energy", "text_generation", "--count", "1_0"]) == 1
 
 
 def test_fit_intensity_json(tmp_path):
@@ -429,6 +434,14 @@ _MALFORMED_JSON = '{"seed": 1,'
         ({}, ["--percentiles", "150"], 2),
         ({}, ["--percentiles", "abc"], 1),
         ({}, ["--halfwidth-pct", "30"], 2),
+        # int() and float() read digit-group underscores and non-ASCII digits
+        ({}, ["--realizations", "abc"], 1),
+        ({}, ["--realizations", "1_0"], 1),
+        ({}, ["--percentiles", "5_0"], 1),
+        ({}, ["--ci-level", "0.9_9"], 1),
+        ({}, ["--percentiles", "\u0665\u0660"], 1),
+        ({}, ["--seed", "\u0664\u0662"], 1),
+        ({}, ["--halfwidth-pct", "0.1_0"], 1),
     ],
 )
 def test_simulate_malformed_input_exit_codes(tmp_path, files, flags, code):
@@ -612,6 +625,10 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
         _case("matrix-non-ascii-year", "bands --input m.csv --out b.csv",
               {"m.csv": "2020,\u0662\u0660\u0662\u0661\n1.0,2.0\n"},
               named=["line 1, column 2", "year"]),
+        _case("env-seed-underscore", "simulate --input TABLE", env={"EMISIM_SEED": "4_2"},
+              named=["EMISIM_SEED", "'4_2'"]),
+        _case("env-seed-non-ascii", "simulate --input TABLE", env={"EMISIM_SEED": "\u0664\u0662"},
+              named=["EMISIM_SEED"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
@@ -696,7 +713,8 @@ def test_bands_rejects_ragged_matrix(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag,code",
     [("--percentiles=150", 2), ("--percentiles=-5,50", 2), ("--percentiles=95,5", 2),
-     ("--percentiles=5,5", 2), ("--percentiles=nan", 2), ("--percentiles=abc", 1)],
+     ("--percentiles=5,5", 2), ("--percentiles=nan", 2), ("--percentiles=abc", 1),
+     ("--percentiles=5_0,9_5", 1), ("--percentiles=\u0665\u0660", 1)],
 )
 def test_bands_malformed_percentiles_exit_codes(tmp_path, flag, code):
     matrix = tmp_path / "matrix.csv"

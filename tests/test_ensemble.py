@@ -747,6 +747,26 @@ def test_band_bytes_are_pinned(percentiles, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# The matrix CSV of _INTEGER_MATRIX with edge cells in its first row: zero,
+# the smallest subnormal, the neighbours of 1e-3 and of 1e15 (where repr
+# switches notation), a power of two, 0.1, 1/3 and the largest double.
+_EDGE_CELLS = [0.0, 5e-324, math.nextafter(1e-3, -math.inf), math.nextafter(1e-3, math.inf),
+               math.nextafter(1e15, -math.inf), math.nextafter(1e15, math.inf), 2.0**52, 0.1, 1 / 3,
+               1.7976931348623157e308]
+
+
+def test_matrix_csv_bytes_are_pinned():
+    matrix = _INTEGER_MATRIX.copy()
+    matrix[0, :len(_EDGE_CELLS)] = _EDGE_CELLS
+    result = EnsembleResult(matrix, tuple(range(2020, 2036)), _config(realizations=1000), 0, 0)
+    text = result.to_csv_text()
+    assert text.split("\n")[1].startswith(
+        "0.0,5e-324,0.0009999999999999998,0.0010000000000000002,999999999999999.9,"
+        "1000000000000000.1,4503599627370496.0,0.1,0.3333333333333333,1.7976931348623157e+308,")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e56a4ad4b43a9a0613b5d3e2635de03446b273ba4360203523cf99b5c0591ec2")
+
+
 @pytest.mark.parametrize("percentiles, header", [
     ((5.0, 5.0000001), "p5,p5.0000001"),
     ((1e-320, 50.0), "p1e-320,p50"),

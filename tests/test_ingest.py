@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from emisim.core import AlignmentGroup, ScenarioFamily, Unit, align_scenarios
 from emisim.errors import (
@@ -29,6 +31,7 @@ from emisim.ingest import (
     inference_energy,
     inference_table_to_csv_text,
     load_bundle,
+    matrix_csv_text,
     parse_driver_csv,
     parse_driver_csv_text,
     parse_inference_table_text,
@@ -37,6 +40,7 @@ from emisim.ingest import (
     parse_series_csv_text,
     series_to_csv_text,
 )
+from emisim.ingest import _closest_shortest, _repr_digits
 
 DRIVER_HEADER = "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt"
 
@@ -184,6 +188,83 @@ def test_matrix_csv_bad_line_found_in_a_long_file():
     years, matrix = parse_matrix_csv_text("2020,2021\n\n" + "\n".join(rows) + "\n")
     assert years == (2020, 2021)
     assert matrix.shape == (1000, 2) and matrix[999, 1] == 999.5
+
+
+# ---------------------------------------------------------------------------
+# Matrix CSV writing
+# ---------------------------------------------------------------------------
+
+def _repr_matrix_text(years, matrix):
+    """The matrix CSV with every cell written by repr: the writer's reference."""
+    return csv_text(map(str, years), (map(repr, row) for row in matrix.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+              elements=st.floats(min_value=0.0, allow_infinity=False)),
+       st.booleans())
+def test_matrix_csv_text_is_repr_of_every_cell(matrix, fortran_order):
+    if fortran_order:
+        matrix = np.asfortranarray(matrix)
+    years = range(2020, 2020 + matrix.shape[1])
+    text = matrix_csv_text(years, matrix)
+    assert text == _repr_matrix_text(years, matrix)
+    assert np.array_equal(parse_matrix_csv_text(text)[1], matrix)
+
+
+def _edge_values(rng, n):
+    """``n`` doubles from 1e-5 to 1e17 in classes that reach each branch of
+    the writer: random magnitudes and mantissas, zeros, powers of two,
+    integers, short decimals, the neighbours of every power of ten, and
+    mantissas with few bits (which put S halfway between two 17-digit
+    decimals)."""
+    exponent = rng.uniform(-5, 17, n)
+    x = 10.0**exponent
+    x[1::9] = 0.0
+    x[2::9] = 2.0 ** np.round(exponent[2::9] * 3.33)
+    x[3::9] = np.round(x[3::9])
+    x[4::9] = np.round(x[4::9], 3)
+    near = 10.0 ** np.round(exponent[5::9])
+    x[5::9] = np.nextafter(near, np.where(rng.random(near.size) < 0.5, 0.0, np.inf))
+    x[6::9] = rng.integers(1, 2**20, x[6::9].size) * 2.0 ** rng.integers(-40, 30, x[6::9].size)
+    x[7::9] = rng.integers(2**52, 2**53, x[7::9].size) * 2.0 ** rng.integers(-70, 0, x[7::9].size)
+    return x
+
+
+def test_matrix_csv_text_matches_repr_on_a_seeded_sweep():
+    rng = np.random.default_rng(20261019)
+    for _ in range(10):  # 1.2M values, in blocks that keep memory small
+        matrix = _edge_values(rng, 120_000).reshape(-1, 16)
+        assert matrix_csv_text(range(16), matrix) == _repr_matrix_text(range(16), matrix)
+
+
+def test_matrix_writer_falls_back_to_repr_where_it_cannot_certify():
+    cells = {
+        "tie": 1 + 2**-17,  # S = x * 1e16 lies halfway between two integers
+        "power of two": 0.5,
+        "below range": 1e-4,
+        "above range": 1e15,
+        "subnormal": 5e-324,
+        "negative zero": -0.0,
+        "certified": 123.456,
+        "zero": 0.0,
+    }
+    x = np.array(list(cells.values()))
+    fallback = _repr_digits(x)[2]
+    assert dict(zip(cells, fallback.tolist())) == {name: name not in ("certified", "zero")
+                                                   for name in cells}
+    assert matrix_csv_text(range(len(x)), x[None]) == _repr_matrix_text(range(len(x)), x[None])
+    # doubles never put a candidate on an end of the interval or carry it
+    # into the next decade, so these S and H are made up:
+    u64 = np.uint64
+    a = np.array([10**16 + 12345, 10**16 + 12345, 10**17 - 3, 10**16 + 12349], dtype=u64)
+    r = np.array([2**62, 2**62 + 5, 1, 2**40 + 7], dtype=u64)
+    h_whole = np.array([3, 3, 5, 3], dtype=u64)
+    h_frac = np.array([2**62, 3 * 2**62 - 5, 2**40, 2**50], dtype=u64)
+    digits, certified = _closest_shortest(a, r, h_whole, h_frac)
+    # S - H and S + H are integers; 10**17 lies inside; 10**16 + 12350 lies inside
+    assert certified.tolist() == [False, False, False, True]
+    assert digits[2] == 10**17 and digits[3] == 10**16 + 12350
 
 
 def test_driver_json_alternative(tmp_path):
