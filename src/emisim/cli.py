@@ -269,11 +269,12 @@ def cmd_simulate(args) -> int:
         }
         also[manifest_out] = json.dumps(manifest, indent=2) + "\n"
     _emit(args, band.to_csv_text(), band.to_dict(), also)
-    if out:
+    if out:  # on stderr: stdout carries data only
         print(
             f"simulated {config.realizations} realizations over "
             f"{len(result.years)} years (clamped draws: {result.clamped_draws}); "
-            f"wrote {', '.join(outputs)}"
+            f"wrote {', '.join(outputs)}",
+            file=sys.stderr,
         )
     return EXIT_OK
 

@@ -149,16 +149,31 @@ def parse_series_csv_text(text: str, unit: Unit) -> AnnualSeries:
 def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     """Years and realization rows of a matrix CSV: a header of strictly
     increasing years, then one row of numbers per realization; blank lines
-    are skipped."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    are skipped. Every cell reads as ``float`` reads it: the correctly
+    rounded double (see :func:`_matrix_body`)."""
+    header, start = _matrix_header(text)
     try:
-        years = tuple(_plain_number(c.strip(), int) for c in lines[0].split(","))
-        if (len(lines) > 1 and all(a < b for a, b in zip(years, years[1:]))
-                and (matrix := _loadtxt(lines[1:])).shape[1] == len(years)):
+        years = tuple(_plain_number(c.strip(), int) for c in header.split(","))
+        if (all(a < b for a, b in zip(years, years[1:]))
+                and (matrix := _matrix_body(text, start, len(years))) is not None
+                and len(matrix)):
             return years, matrix
-    except (IndexError, ValueError):
+    except ValueError:
         pass
     _raise_matrix_error(text)
+
+
+def _matrix_header(text: str) -> tuple[str, int]:
+    """The first non-blank line of ``text`` and the offset just past its line
+    break, or ``("", len(text))`` if there is none."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        for line in text[start:end].splitlines(keepends=True):
+            start += len(line)
+            if line.strip():
+                return line.splitlines()[0], start
+    return "", start
 
 
 def _loadtxt(lines: list[str]) -> np.ndarray:
@@ -196,17 +211,20 @@ def _raise_matrix_error(text: str) -> NoReturn:
 
 
 # ---------------------------------------------------------------------------
-# Matrix CSV writing: repr's digits, found with fixed-width integer arithmetic
+# Matrix CSV writing and reading: repr's digits, and exact decimals, found
+# with fixed-width integer arithmetic
 # ---------------------------------------------------------------------------
 
 # Cells per block: the block's arrays stay in cache. 8192 was the fastest
-# of 2048 to 32768 on an 8000 x 16 ensemble.
+# of 2048 to 32768 on an 8000 x 16 ensemble, for writing and for reading.
 _MATRIX_BLOCK_CELLS = 8192
 _U64 = np.uint64
 _LOW32, _32 = _U64(0xFFFF_FFFF), _U64(32)
 _POW10 = np.array([10**i for i in range(20)], dtype=_U64)
-# bytes are held as (character - "0") % 256 while a block is built, so that a
-# digit is its value
+_POW10_FLOAT = _POW10.astype(np.float64)  # exact: 5**19 < 2**53
+_POW5 = np.array([5**i for i in range(20)], dtype=_U64)
+# bytes are held as (character - "0") % 256 while a block is built or read,
+# so that a digit is its value
 _POINT, _COMMA, _NEWLINE, _NUL = ((ord(c) - ord("0")) % 256 for c in ".,\n\0")
 
 
@@ -395,6 +413,123 @@ def _closest_shortest(a: np.ndarray, r: np.ndarray, h_whole: np.ndarray,
     certified &= np.where(in100, by100 != _U64(10**17),
                           np.where(in10, (rem != 5) | (r != 0), r != half))
     return digits, certified
+
+
+def _matrix_body(text: str, start: int, width: int) -> np.ndarray | None:
+    """The rows of ``width`` numbers in the matrix CSV ``text`` from offset
+    ``start`` on, or None if a line holds another number of cells; a cell
+    that is not a number raises ValueError.
+
+    The text is read one block of about ``_MATRIX_BLOCK_CELLS`` cells at a
+    time, a slice that ends at a line feed, so that no copy of the whole
+    text is made: a block in the writer's form by
+    :func:`_matrix_block_values`, any other by ``np.loadtxt`` over its
+    non-blank lines.
+    """
+    first_line = (text.find("\n", start) + 1 or len(text)) - start
+    step = max(1, _MATRIX_BLOCK_CELLS // width) * max(1, first_line)
+    out = np.empty((text.count("\n", start) + (not text.endswith("\n")), width))
+    rows = 0
+    while start < len(text):
+        end = text.find("\n", start + step - 1) + 1 or len(text)
+        block = text[start:end]
+        start = end
+        values = _matrix_block_values(block, width)
+        if values is None:
+            lines = [ln for ln in block.splitlines() if ln.strip()]
+            if not lines:
+                continue
+            if (values := _loadtxt(lines)).shape[1] != width:
+                return None
+        if rows + len(values) > len(out):  # lines that end with other line breaks
+            out.resize((rows + len(values), width), refcheck=False)
+        out[rows:rows + len(values)] = values
+        rows += len(values)
+    # no view of ``out`` is left, so it can shrink in place
+    out.resize((rows, width), refcheck=False)
+    return out
+
+
+def _matrix_block_values(block: str, width: int) -> np.ndarray | None:
+    """The rows of ``block``, whole lines of a matrix CSV, if each of them is
+    ``width`` cells in the writer's form, separated by commas and ended by a
+    line feed: digits, a point and digits, at most 19 digits in all, not
+    counting a whole part that is one "0". None for any other block.
+
+    Without its point, a cell's digits are an integer n < 10**19, read
+    exactly, and the cell is n / 10**f for its f fraction digits:
+
+    * where n < 2**53, ``float(n) / 10.0**f`` is the double ``float`` reads,
+      because it is one correctly rounded division of two exact doubles
+      (Clinger, "How to read floating point numbers accurately", 1990);
+    * any other cell takes the same quotient as its candidate, then the
+      candidate's neighbour towards n, and keeps the first that
+      :func:`_certified` shows to be correctly rounded;
+    * a cell that neither is, such as a tie or a power of two, is read by
+      ``float``.
+    """
+    if not (block.endswith("\n") and block.isascii()):
+        return None
+    raw = block.encode("ascii")
+    chars = np.frombuffer(raw, dtype=np.uint8) - np.uint8(ord("0"))
+    marks = np.flatnonzero(chars > 9)  # points, separators and any other byte
+    line_marks = np.full(2 * width, _COMMA, dtype=np.uint8)
+    line_marks[::2], line_marks[-1] = _POINT, _NEWLINE
+    if (marks.size % line_marks.size
+            or not (chars[marks].reshape(-1, line_marks.size) == line_marks).all()):
+        return None
+    runs = np.empty_like(marks)  # digits before each mark
+    runs[0] = marks[0]
+    np.subtract(marks[1:], marks[:-1] + 1, out=runs[1:])
+    runs = runs.reshape(-1, 2)
+    whole, frac = runs[:, 0], runs[:, 1]
+    lone_zero = (whole == 1) & (chars[marks[::2] - 1] == 0)
+    # at most 19 digits, so that no integer overflows: fromstring would
+    # saturate silently
+    if runs.min() < 1 or (whole + frac - lone_zero).max() > 19:
+        return None
+    n = np.fromstring(raw.replace(b".", b"").replace(b"\n", b","), dtype=_U64, sep=",")
+    x = n.astype(np.float64) / _POW10_FLOAT[frac]
+    hard = np.flatnonzero(n >= _U64(2**53))
+    if hard.size:
+        n, places = n[hard], frac[hard]
+        candidate = x[hard]
+        certified, below = _certified(candidate, n, places)
+        if (miss := np.flatnonzero(~certified)).size:
+            neighbour = np.nextafter(candidate[miss], np.where(below[miss], 0.0, np.inf))
+            fixed = _certified(neighbour, n[miss], places[miss])[0]
+            candidate[miss[fixed]] = neighbour[fixed]
+            certified[miss[fixed]] = True
+        x[hard] = candidate
+        for i in hard[~certified].tolist():
+            x[i] = float(block[marks[2 * i] - whole[i]:marks[2 * i + 1]])
+    return x.reshape(-1, width)
+
+
+def _certified(x: np.ndarray, n: np.ndarray, places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(certified, below)`` for doubles x within a few ulps of the
+    decimals ``n / 10**places``, n < 2**64: ``certified`` where x is the
+    decimal correctly rounded, ``below`` where n lies below the upper end of
+    the rounding interval of x.
+
+    With x = m * 2**e for an integer m in [2**52, 2**53) and f places, the
+    interval scaled by 10**f is S +- H, with S = m * 5**f * 2**(e + f) and H
+    = 5**f * 2**(e + f - 1), half an ulp. Where s = 1 - e - f is in [0, 64),
+    n lies strictly inside it when d = n * 2**s - 2 * m * 5**f has |d| <
+    5**f. |d| is 5**f < 2**45 times the distance from n to S in half ulps,
+    far below 2**63 for an x a few ulps off, so uint64 arithmetic, which
+    wraps, gives d exactly. A decimal on an end is a tie, which rounds by
+    the parity of x, and a power of two has an interval that is not
+    symmetric: neither is certified.
+    """
+    bits = x.view(_U64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    # e = (exponent bits) - 1075; an s below 0 wraps to 2**64 - |s|
+    s = _U64(1076) - (bits >> _U64(52)) - places.astype(_U64)
+    five = _POW5[places]
+    d = ((n << s) - _U64(2) * m * five).view(np.int64)
+    below = d < five.view(np.int64)
+    return (m != _U64(2**52)) & (s < _U64(64)) & (d > -five.view(np.int64)) & below, below
 
 
 def read_text(path: str | Path) -> str:

@@ -369,6 +369,16 @@ def test_simulate_json_format(tmp_path, capsys):
     assert stdout == out.read_text()
 
 
+def test_simulate_out_keeps_stdout_for_data(tmp_path, capsys):
+    out, matrix = tmp_path / "bands.csv", tmp_path / "matrix.csv"
+    assert main(["simulate", "--input", TABLE, "--seed", "1", "--realizations", "50",
+                 "--out", str(out), "--matrix-out", str(matrix)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"simulated 50 realizations over 16 years (clamped draws: 0); wrote {out}, {matrix}"]
+
+
 def test_simulate_percentiles_flag(tmp_path):
     out = tmp_path / "bands.csv"
     assert main(["simulate", "--input", TABLE, "--seed", "1", "--realizations", "50",

@@ -41,7 +41,7 @@ from emisim.errors import (
     InvalidLevelError,
     MissingHalfwidthError,
 )
-from emisim.ingest import bundled_driver_table
+from emisim.ingest import bundled_driver_table, parse_matrix_csv_text
 from emisim.model import fit_implied_intensity, fit_model, predict_table
 
 
@@ -523,6 +523,16 @@ def test_ensemble_csv_roundtrip(table):
     assert lines[0] == ",".join(str(y) for y in table.years)
     parsed = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(parsed, result.matrix)
+
+
+@pytest.mark.parametrize("mode", list(CorrelationMode))
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_matrix_csv_reads_back_byte_for_byte(table, mode, model):
+    result = run_simulation(table, _config(realizations=2000, correlation_mode=mode,
+                                           model_kind=model))
+    years, matrix = parse_matrix_csv_text(result.to_csv_text())
+    assert years == table.years
+    assert matrix.tobytes() == result.matrix.tobytes()
 
 
 def test_ensemble_result_validates_matrix(table):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +42,14 @@ from emisim.ingest import (
     parse_series_csv_text,
     series_to_csv_text,
 )
-from emisim.ingest import _closest_shortest, _repr_digits
+from emisim import ingest
+from emisim.ingest import (
+    _certified,
+    _closest_shortest,
+    _plain_number,
+    _raise_matrix_error,
+    _repr_digits,
+)
 
 DRIVER_HEADER = "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt"
 
@@ -265,6 +274,148 @@ def test_matrix_writer_falls_back_to_repr_where_it_cannot_certify():
     # S - H and S + H are integers; 10**17 lies inside; 10**16 + 12350 lies inside
     assert certified.tolist() == [False, False, False, True]
     assert digits[2] == 10**17 and digits[3] == 10**16 + 12350
+
+
+# ---------------------------------------------------------------------------
+# Matrix CSV reading
+# ---------------------------------------------------------------------------
+
+def _loadtxt_matrix(text):
+    """The matrix CSV reader before it read in blocks, the reader's reference:
+    np.loadtxt over the non-blank lines, then _raise_matrix_error."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        years = tuple(_plain_number(c.strip(), int) for c in lines[0].split(","))
+        if (len(lines) > 1 and all(a < b for a, b in zip(years, years[1:]))
+                and (matrix := np.loadtxt(lines[1:], delimiter=",", comments=None,
+                                          ndmin=2)).shape[1] == len(years)):
+            return years, matrix
+    except (IndexError, ValueError):
+        pass
+    _raise_matrix_error(text)
+
+
+def _read_outcome(parse, text):
+    """The years and the matrix bytes ``parse`` reads, or where it fails."""
+    try:
+        years, matrix = parse(text)
+    except SchemaError as exc:
+        return exc.line, exc.column
+    return years, matrix.shape, matrix.tobytes()
+
+
+_MATRIX_CHARS = "0123456789.,\n"
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Texts over the characters of the writer's form: writer output of a
+    matrix, the same with a few characters changed, or any such text."""
+    kind = draw(st.sampled_from(["writer", "changed", "any"]))
+    if kind == "any":
+        header = draw(st.sampled_from(["", "2020\n", "2020,2021\n", "2020,2021,2022\n"]))
+        return header + draw(st.text(_MATRIX_CHARS, max_size=200))
+    cells = st.floats(1e-3, 1e15, exclude_max=True) | st.floats(0.0, allow_infinity=False)
+    matrix = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+                         elements=cells))
+    text = matrix_csv_text(range(2020, 2020 + matrix.shape[1]), matrix)
+    if kind == "changed":
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 3))
+        text = text[:at] + draw(st.text(_MATRIX_CHARS, max_size=3)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(_matrix_texts(), st.sampled_from([1, 3, 16, ingest._MATRIX_BLOCK_CELLS]))
+# a tie and a power of two
+@example("2020,2021\n562949953421312.0625,1.0000000000000000\n", 2)
+@example("2020,2021\n0.0012345678901234567,00000000000001.00000000000000000001\n", 2)
+# 19 digits, and 20 that do not fit in 64 bits
+@example("2020,2021\n9999999999999999.999,99999999999.999999999\n", 2)
+@example("2020,2021\n0.9999999999999999999,9.9999999999999999999\n", 2)
+@example("\n \n2020\n1.5\n\n2.5\n", 1)
+@example("2020,2021\n1.5,2.5\n \n2.5,3.5\n", 2)  # a line of spaces, a block of its own
+@example("2020,2021,2022\n1.,.5,.\n", 3)  # runs without digits
+@example("2020\n1.5\n2.5", 1)
+def test_matrix_reader_matches_loadtxt(text, block_cells):
+    with mock.patch.object(ingest, "_MATRIX_BLOCK_CELLS", block_cells):
+        assert _read_outcome(parse_matrix_csv_text, text) == _read_outcome(_loadtxt_matrix, text)
+
+
+def test_matrix_csv_reads_back_bit_for_bit_on_a_seeded_sweep():
+    rng = np.random.default_rng(20261020)
+    for _ in range(10):  # 1.2M values
+        x = _edge_values(rng, 120_000)
+        # below 1e-3 and from 1e15 on, repr writes an exponent, more than 19
+        # digits or 16 whole digits: those cells go last, so that the blocks
+        # before them are in the writer's plain form
+        x = x[np.argsort((x != 0) & ((x < 1e-3) | (x >= 1e15)), kind="stable")].reshape(-1, 16)
+        assert parse_matrix_csv_text(matrix_csv_text(range(16), x))[1].tobytes() == x.tobytes()
+
+
+def _reader_path(cell):
+    """Whether the reader's Clinger path reads ``cell`` (n < 2**53), and
+    else whether :func:`_certified` certifies its candidate quotient, or a
+    neighbour of that candidate."""
+    whole, frac = cell.split(".")
+    n, places = np.array([int(whole + frac)], np.uint64), np.array([len(frac)])
+    candidate = n.astype(np.float64) / np.float64(10**len(frac))
+    down, up = np.nextafter(candidate, 0.0), np.nextafter(candidate, np.inf)
+    return (n[0] < 2**53, _certified(candidate, n, places)[0][0],
+            _certified(down, n, places)[0][0] or _certified(up, n, places)[0][0])
+
+
+def test_matrix_reader_takes_each_path():
+    cells = {
+        "1.0000000000000000": (False, False, False),  # a power of two: float
+        "123.456": (True, True, False),  # an exact quotient
+        "275.30285650729843": (False, True, False),  # the quotient, certified
+        "1.3271517125308803": (False, False, True),  # its neighbour, certified
+        # ties, which float rounds to even, each way, from a quotient above
+        # and below
+        "562949953421312.0625": (False, False, False),
+        "562949953421312.1875": (False, False, False),
+        "562949953421312.3125": (False, False, False),
+        "562949953421312.4375": (False, False, False),
+    }
+    assert {cell: _reader_path(cell) for cell in cells} == cells
+    text = "2020\n" + "".join(f"{cell}\n" for cell in cells)
+    with mock.patch.object(ingest, "float", create=True, wraps=float) as read_by_float:
+        assert parse_matrix_csv_text(text)[1].ravel().tolist() == [float(c) for c in cells]
+    assert [c.args[0] for c in read_by_float.call_args_list] == [
+        cell for cell, path in cells.items() if not any(path)]
+
+
+def test_matrix_reader_reads_a_block_of_other_lines_with_loadtxt():
+    rng = np.random.default_rng(3)
+    matrix = rng.lognormal(4.0, 1.0, (20_000, 4))
+    text = matrix_csv_text(range(2020, 2024), matrix)
+    # a carriage return, a blank line, nan and an exponent, all on one line
+    # feed in the middle of the file
+    middle = text.index("\n", len(text) // 2) + 1
+    text = text[:middle] + "nan,-1e3,0.5,2.0\r\r1.5,2.5,3.5,4.5\n" + text[middle:]
+    with (mock.patch.object(ingest, "_matrix_block_values",
+                            wraps=ingest._matrix_block_values) as blocks,
+          mock.patch.object(ingest, "_loadtxt", wraps=ingest._loadtxt) as loadtxt):
+        years, parsed = parse_matrix_csv_text(text)
+    assert blocks.call_count >= 8 and loadtxt.call_count == 1
+    assert parsed.tobytes() == _loadtxt_matrix(text)[1].tobytes()
+    row = text[:middle].count("\n") - 1
+    assert np.array_equal(parsed[row:row + 2], [[np.nan, -1e3, 0.5, 2.0], [1.5, 2.5, 3.5, 4.5]],
+                          equal_nan=True)
+
+
+def test_matrix_reader_peak_memory_is_bounded():
+    matrix = np.random.default_rng(7).lognormal(4.0, 0.5, (100_000, 16))
+    text = matrix_csv_text(range(2020, 2036), matrix)
+    tracemalloc.start()
+    try:
+        parsed = parse_matrix_csv_text(text)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.tobytes() == matrix.tobytes()
+    assert peak <= 2 * matrix.nbytes
 
 
 def test_driver_json_alternative(tmp_path):
