@@ -24,7 +24,7 @@ from enum import Enum
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,64 +150,57 @@ def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     """Years and realization rows of a matrix CSV: a header of strictly
     increasing years, then one row of numbers per realization; blank lines
     are skipped. Every cell reads as ``float`` reads it: the correctly
-    rounded double (see :func:`_matrix_body`)."""
-    header, start = _matrix_header(text)
-    try:
-        years = tuple(_plain_number(c.strip(), int) for c in header.split(","))
-        if (all(a < b for a, b in zip(years, years[1:]))
-                and (matrix := _matrix_body(text, start, len(years))) is not None
-                and len(matrix)):
-            return years, matrix
-    except ValueError:
-        pass
-    _raise_matrix_error(text)
-
-
-def _matrix_header(text: str) -> tuple[str, int]:
-    """The first non-blank line of ``text`` and the offset just past its line
-    break, or ``("", len(text))`` if there is none."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        for line in text[start:end].splitlines(keepends=True):
-            start += len(line)
-            if line.strip():
-                return line.splitlines()[0], start
-    return "", start
-
-
-def _loadtxt(lines: list[str]) -> np.ndarray:
-    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-
-
-def _raise_matrix_error(text: str) -> NoReturn:
-    """Raise the SchemaError, at its file line and column, of the first bad
-    line of a matrix CSV that :func:`parse_matrix_csv_text` rejected."""
-    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if len(rows) < 2:
-        raise SchemaError(rows[0][0] + 1 if rows else 1, 1, "no data rows")
-    (line, header), rows = rows[0], rows[1:]
+    rounded double (see :func:`_matrix_body`). The first error raises:
+    no data rows, then the header, then the first bad line of the body."""
+    header, line, start = _next_line(text, 0, 0)
+    row, row_line, row_start = _next_line(text, start + len(header), line)
+    if not row:
+        raise SchemaError(line + 1 if header else 1, 1, "no data rows")
     years = [_parse_int(c.strip(), line, i, "year") for i, c in enumerate(header.split(","), 1)]
     for column, (before, year) in enumerate(zip(years, years[1:]), 2):
         if year <= before:
             raise SchemaError(line, column, f"years not strictly increasing at {year}")
-    width = len(years)
+    return tuple(years), _matrix_body(text, row_start, row_line - 1, len(row), len(years))
 
-    def parses(lines, n_cells):
-        try:
-            return _loadtxt(lines).shape[1] == n_cells
-        except ValueError:
-            return False
 
+def _next_line(text: str, start: int, line: int) -> tuple[str, int, int]:
+    """The first non-blank line of ``text`` from offset ``start`` on, the
+    start of file line ``line + 1``: the line with its line break, its file
+    line and its offset; ``("", line, len(text))`` if there is none."""
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        for part in text[start:end].splitlines(keepends=True):
+            line += 1
+            if part.strip():
+                return part, line, start
+            start += len(part)
+    return "", line, start
+
+
+def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
+    """The rows of ``lines`` as ``np.loadtxt`` reads them, or None if it
+    rejects them or a line is not ``width`` numbers."""
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == width else None
+
+
+def _bad_line(rows: list[tuple[int, str]], width: int) -> SchemaError:
+    """The SchemaError, at its file line and column, of the first line of
+    ``(file line, text)`` pairs that :func:`_loadtxt` rejected together."""
     lo, hi = 0, len(rows)  # bisect: rows before lo parse, rows[lo:hi] do not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if parses([ln for _, ln in rows[lo:mid]], width) else (lo, mid)
+        parses = _loadtxt([ln for _, ln in rows[lo:mid]], width) is not None
+        lo, hi = (mid, hi) if parses else (lo, mid)
     line, cells = rows[lo][0], rows[lo][1].split(",")
     if len(cells) != width:
-        raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
-    column = next(i for i, cell in enumerate(cells, 1) if not (cell.strip() and parses([cell], 1)))
-    raise SchemaError(line, column, f"{cells[column - 1].strip()!r} is not a number")
+        return SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
+    column = next(i for i, cell in enumerate(cells, 1)
+                  if not (cell.strip() and _loadtxt([cell], 1) is not None))
+    return SchemaError(line, column, f"{cells[column - 1].strip()!r} is not a number")
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +408,19 @@ def _closest_shortest(a: np.ndarray, r: np.ndarray, h_whole: np.ndarray,
     return digits, certified
 
 
-def _matrix_body(text: str, start: int, width: int) -> np.ndarray | None:
+def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -> np.ndarray:
     """The rows of ``width`` numbers in the matrix CSV ``text`` from offset
-    ``start`` on, or None if a line holds another number of cells; a cell
-    that is not a number raises ValueError.
+    ``start``, the start of file line ``line + 1``, on. A line that is not
+    ``width`` numbers raises its SchemaError.
 
     The text is read one block of about ``_MATRIX_BLOCK_CELLS`` cells at a
-    time, a slice that ends at a line feed, so that no copy of the whole
-    text is made: a block in the writer's form by
-    :func:`_matrix_block_values`, any other by ``np.loadtxt`` over its
-    non-blank lines.
+    time, ``row_chars`` characters a row, a slice that ends at a line feed,
+    so that no copy of the whole text is made: a block in the writer's form
+    by :func:`_matrix_block_values`, any other by ``np.loadtxt`` over its
+    non-blank lines. A block ends just after a line feed, so that its lines
+    are the file's.
     """
-    first_line = (text.find("\n", start) + 1 or len(text)) - start
-    step = max(1, _MATRIX_BLOCK_CELLS // width) * max(1, first_line)
+    step = max(1, _MATRIX_BLOCK_CELLS // width) * row_chars
     out = np.empty((text.count("\n", start) + (not text.endswith("\n")), width))
     rows = 0
     while start < len(text):
@@ -436,11 +429,15 @@ def _matrix_body(text: str, start: int, width: int) -> np.ndarray | None:
         start = end
         values = _matrix_block_values(block, width)
         if values is None:
-            lines = [ln for ln in block.splitlines() if ln.strip()]
-            if not lines:
+            lines = block.splitlines()
+            numbered = [(n, ln) for n, ln in enumerate(lines, line + 1) if ln.strip()]
+            line += len(lines)
+            if not numbered:
                 continue
-            if (values := _loadtxt(lines)).shape[1] != width:
-                return None
+            if (values := _loadtxt([ln for _, ln in numbered], width)) is None:
+                raise _bad_line(numbered, width)
+        else:
+            line += len(values)
         if rows + len(values) > len(out):  # lines that end with other line breaks
             out.resize((rows + len(values), width), refcheck=False)
         out[rows:rows + len(values)] = values

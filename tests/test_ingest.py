@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -46,8 +47,6 @@ from emisim import ingest
 from emisim.ingest import (
     _certified,
     _closest_shortest,
-    _plain_number,
-    _raise_matrix_error,
     _repr_digits,
 )
 
@@ -282,17 +281,41 @@ def test_matrix_writer_falls_back_to_repr_where_it_cannot_certify():
 
 def _loadtxt_matrix(text):
     """The matrix CSV reader before it read in blocks, the reader's reference:
-    np.loadtxt over the non-blank lines, then _raise_matrix_error."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    np.loadtxt over the non-blank lines. Where that fails, the error is
+    searched for one line at a time and, in a line of the right width, one
+    cell at a time: "no data rows" first, then the header, then the body."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if len(rows) < 2:
+        raise SchemaError(rows[0][0] + 1 if rows else 1, 1, "no data rows")
+    (line, header), rows = rows[0], rows[1:]
+    years = []
+    for column, cell in enumerate(header.split(","), start=1):
+        if not re.fullmatch("[+-]?[0-9]+", cell.strip()):
+            raise SchemaError(line, column, f"year {cell.strip()!r} is not an integer")
+        years.append(int(cell))
+    for column, (before, year) in enumerate(zip(years, years[1:]), start=2):
+        if year <= before:
+            raise SchemaError(line, column, f"years not strictly increasing at {year}")
+    width = len(years)
     try:
-        years = tuple(_plain_number(c.strip(), int) for c in lines[0].split(","))
-        if (len(lines) > 1 and all(a < b for a, b in zip(years, years[1:]))
-                and (matrix := np.loadtxt(lines[1:], delimiter=",", comments=None,
-                                          ndmin=2)).shape[1] == len(years)):
-            return years, matrix
-    except (IndexError, ValueError):
+        matrix = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
+        if matrix.shape[1] == width:
+            return tuple(years), matrix
+    except ValueError:
         pass
-    _raise_matrix_error(text)
+    for line, row in rows:
+        cells = row.split(",")
+        if len(cells) != width:
+            raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
+        for column, cell in enumerate(cells, start=1):
+            try:
+                if cell.strip():
+                    np.loadtxt([cell], delimiter=",", comments=None)
+                    continue
+            except ValueError:
+                pass
+            raise SchemaError(line, column, f"{cell.strip()!r} is not a number")
+    raise AssertionError("np.loadtxt read every line alone but not all of them together")
 
 
 def _read_outcome(parse, text):
@@ -337,6 +360,17 @@ def _matrix_texts(draw):
 @example("2020,2021\n1.5,2.5\n \n2.5,3.5\n", 2)  # a line of spaces, a block of its own
 @example("2020,2021,2022\n1.,.5,.\n", 3)  # runs without digits
 @example("2020\n1.5\n2.5", 1)
+# a bad cell on the first line of a block after the first
+@example("2020,2021\n" + "1.5,2.5\n" * 8 + "1.5,x\n", 16)
+@example("2020,2021\n1.5,2.5\n1.5,2.5\n1.5,x.5\n", 1)
+# failing blocks with other line breaks, and one after such a block
+@example("2020,2021\n1,2\r3,x\n", 2)
+@example("2020,2021\n1,2\x0b3,x\n", 2)
+@example("2020,2021\n1,2\u20283,x\n", 2)
+@example("2020,2021\n1,2\r3,4\n5,x\n", 1)
+@example("2020,2021\n1,2\n\n3,4\n5,x\n", 1)  # a blank line in a block before the error
+@example("\n \n", 1)  # blank lines only
+@example("2020,2021\n\n1.5,2.5\n1.5,x\n", 2)  # a blank line right after the header
 def test_matrix_reader_matches_loadtxt(text, block_cells):
     with mock.patch.object(ingest, "_MATRIX_BLOCK_CELLS", block_cells):
         assert _read_outcome(parse_matrix_csv_text, text) == _read_outcome(_loadtxt_matrix, text)
@@ -405,9 +439,13 @@ def test_matrix_reader_reads_a_block_of_other_lines_with_loadtxt():
                           equal_nan=True)
 
 
-def test_matrix_reader_peak_memory_is_bounded():
+def _large_matrix_text():
     matrix = np.random.default_rng(7).lognormal(4.0, 0.5, (100_000, 16))
-    text = matrix_csv_text(range(2020, 2036), matrix)
+    return matrix, matrix_csv_text(range(2020, 2036), matrix)
+
+
+def test_matrix_reader_peak_memory_is_bounded():
+    matrix, text = _large_matrix_text()
     tracemalloc.start()
     try:
         parsed = parse_matrix_csv_text(text)[1]
@@ -416,6 +454,49 @@ def test_matrix_reader_peak_memory_is_bounded():
         tracemalloc.stop()
     assert parsed.tobytes() == matrix.tobytes()
     assert peak <= 2 * matrix.nbytes
+
+
+def test_matrix_reader_raises_a_late_error_in_one_pass():
+    # a bad last cell is found in the block that holds it, at no more memory
+    # than reading the file
+    matrix, text = _large_matrix_text()
+    text = text[:-2] + "x\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError) as exc:
+            parse_matrix_csv_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.line, exc.value.column) == (100_001, 16)
+    assert peak <= 2 * matrix.nbytes
+
+
+def test_matrix_reader_raises_an_early_error_within_one_block():
+    matrix, text = _large_matrix_text()
+    second = text.index("\n") + 1
+    with (mock.patch.object(ingest, "_matrix_block_values",
+                            wraps=ingest._matrix_block_values) as blocks,
+          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+          pytest.raises(SchemaError) as exc):
+        parse_matrix_csv_text(text[:second] + "x" + text[second + 1:])
+    assert (exc.value.line, exc.value.column, blocks.call_count) == (2, 1, 1)
+    # the search reads the lines of that block alone
+    block_rows = ingest._MATRIX_BLOCK_CELLS // matrix.shape[1]
+    assert sum(len(call.args[0]) for call in loadtxt.call_args_list) <= 4 * block_rows
+
+
+def test_matrix_blocks_are_sized_from_the_first_data_row():
+    matrix = np.random.default_rng(5).lognormal(4.0, 0.5, (5_000, 16))
+    text = matrix_csv_text(range(2020, 2036), matrix)
+    header = text.index("\n") + 1
+    calls = []
+    for variant in (text, text[:header] + "\n" + text[header:]):
+        with mock.patch.object(ingest, "_matrix_block_values",
+                               wraps=ingest._matrix_block_values) as blocks:
+            assert parse_matrix_csv_text(variant)[1].tobytes() == matrix.tobytes()
+        calls.append(blocks.call_count)
+    assert 1 < calls[0] == calls[1] <= 2 * -(-matrix.size // ingest._MATRIX_BLOCK_CELLS)
 
 
 def test_driver_json_alternative(tmp_path):
