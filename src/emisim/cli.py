@@ -266,6 +266,8 @@ def cmd_simulate(args) -> int:
             "duration_seconds": time.perf_counter() - started,
             "rng_stream": RNG_STREAM,
             "environment": _environment(),
+            "counters": {"clamped_draws": result.clamped_draws,
+                         "clamped_predictions": result.clamped_predictions},
         }
         also[manifest_out] = json.dumps(manifest, indent=2) + "\n"
     _emit(args, band.to_csv_text(), band.to_dict(), also)

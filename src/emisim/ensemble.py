@@ -167,7 +167,11 @@ def two_sided_z(level: float) -> float:
     AS241 (1988) as implemented by :meth:`statistics.NormalDist.inv_cdf`."""
     if not 0.0 < level < 1.0:
         raise InvalidLevelError(f"confidence level {level} outside (0, 1)")
-    return NormalDist().inv_cdf((1.0 + level) / 2.0)
+    # at or below 2**-53, (1 + level) / 2 rounds to 0.5, whose z of 0 no halfwidth divides by
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    if z == 0.0:
+        raise InvalidLevelError(f"confidence level {level} too small: its z rounds to 0")
+    return z
 
 
 def ci_to_sigma(halfwidth: float, level: float) -> float:

@@ -723,7 +723,10 @@ def cagr_value(base: float, annual_rate: float, years: int) -> float:
         raise ValueError(f"rate must be finite and > -1, got {annual_rate}")
     if years < 0:
         raise ValueError("years must be >= 0")
-    value = base * (1.0 + annual_rate) ** years
+    try:  # a float power that overflows raises instead of giving inf
+        value = base * (1.0 + annual_rate) ** years
+    except OverflowError:
+        value = math.inf
     if math.isinf(value):
         raise OverflowError(f"projection overflows after {years} years")
     return value
@@ -743,7 +746,10 @@ def doubling_project(base: float, doubling_months: float, horizon_months: float)
     """Exponential doubling: base * 2^(horizon / doubling)."""
     if not all(map(math.isfinite, (base, horizon_months))) or not 0.0 < doubling_months < math.inf:
         raise ValueError("base and horizon must be finite, and the doubling period finite and > 0")
-    value = base * 2.0 ** (horizon_months / doubling_months)
+    try:  # a float power that overflows raises instead of giving inf
+        value = base * 2.0 ** (horizon_months / doubling_months)
+    except OverflowError:
+        value = math.inf
     if math.isinf(value):
         raise OverflowError("projection overflows")
     return value

@@ -27,9 +27,6 @@ import numpy as np
 from .core import DRIVER_VARIABLES, AnnualSeries, DriverTable, ModelKind, Unit
 from .errors import DegenerateRowError, RankDeficientDesignError, YearOutsideFitError
 
-# rows of the regression predict's term buffer: 4096 rows of 16 years are 512 KiB
-_PREDICT_BLOCK_ROWS = 4096
-
 
 @dataclass(frozen=True)
 class ImpliedIntensityModel:
@@ -101,23 +98,15 @@ class LinearRegressionModel:
 
     def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
         b0, b1, b2, b3, b4 = self.coefficients
-        # one output array and a term buffer of one row block, laid out like the
-        # output; each block is summed left to right, which fixes the bytes:
-        # b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai
+        # one output array, to which each term is added one year column at a
+        # time, so no term is held at full size; each cell is summed left to
+        # right, which fixes the bytes: b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai
         values = np.multiply(semis_twh, b1)
         values += b0
-        terms = [(np.broadcast_to(x, values.shape), b)
-                 for x, b in ((dc_twh, b2), (mix_factor, b3), (ai_share, b4))]
-        term = np.empty_like(values[:_PREDICT_BLOCK_ROWS])
-        for lo in range(0, len(values), _PREDICT_BLOCK_ROWS):
-            block = values[lo:lo + _PREDICT_BLOCK_ROWS]
-            out = term[:len(block)]
-            for x, b in terms:
-                # copied, then scaled in place: a multiply from a strided view
-                # into the buffer makes numpy allocate a 64 KiB iterator buffer
-                np.copyto(out, x[lo:lo + len(block)])
-                out *= b
-                block += out
+        for x, b in ((dc_twh, b2), (mix_factor, b3), (ai_share, b4)):
+            x = np.broadcast_to(x, values.shape)
+            for j in range(values.shape[-1]):
+                values[..., j] += x[..., j] * b
         return np.maximum(values, 0.0, out=values)
 
     def diagnostics(self) -> dict:

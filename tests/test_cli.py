@@ -13,7 +13,9 @@ import pytest
 from numpy.lib.introspect import opt_func_info
 
 from emisim.cli import build_parser, main
-from emisim.ensemble import bands_from_matrix
+from emisim.core import SimulationConfig
+from emisim.ensemble import bands, bands_from_matrix, run_simulation
+from emisim.ingest import parse_driver_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = SRC / "emisim" / "data"
@@ -227,6 +229,23 @@ def test_simulate_manifest_records_stream_and_environment(tmp_path):
         "numpy_dispatch": {"log": {"dd": dispatch["log"]["dd"]["current"]},
                            "tan": {"dd": dispatch["tan"]["dd"]["current"]}},
     }
+
+
+@pytest.mark.parametrize("model", ["regression", "intensity"])
+def test_simulate_manifest_records_clamp_counters(tmp_path, capsys, model):
+    matrix_out = tmp_path / "m.csv"
+    out = _simulate(tmp_path, "bands.csv", "--realizations", "2000", "--model", model,
+                    "--halfwidth-pct", "3.0", "--matrix-out", str(matrix_out))
+    manifest = json.loads((tmp_path / "bands.csv.manifest.json").read_text())
+    result = run_simulation(parse_driver_csv(TABLE), SimulationConfig.from_dict(manifest["config"]))
+    assert manifest["counters"] == {"clamped_draws": result.clamped_draws,
+                                    "clamped_predictions": result.clamped_predictions}
+    assert result.clamped_draws > 0
+    assert (result.clamped_predictions > 0) == (model == "regression")
+    # the counters change no output byte
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == bands(result).to_csv_text()
+    assert matrix_out.read_text() == result.to_csv_text()
 
 
 def test_simulate_manifest_starts_no_process(tmp_path):
@@ -452,6 +471,8 @@ _MALFORMED_JSON = '{"seed": 1,'
         ({}, ["--percentiles", "\u0665\u0660"], 1),
         ({}, ["--seed", "\u0664\u0662"], 1),
         ({}, ["--halfwidth-pct", "0.1_0"], 1),
+        # (1 + level) / 2 rounds to 0.5, so z would be 0
+        ({}, ["--ci-level", "1e-320"], 2),
     ],
 )
 def test_simulate_malformed_input_exit_codes(tmp_path, files, flags, code):
@@ -548,8 +569,10 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               named=["6 rows"]),
         _case("infinite-sigma", "simulate --input TABLE --halfwidths hw.json", _INFINITE_HW,
               named=["HalfwidthTooWideError", "dc_twh"]),
-        _case("doubling-overflow", "project --base 1 --doubling-months 1 --horizon 3000", code=4),
-        _case("cagr-overflow", "project --base 1 --rate 0.1 --years 100000", code=4),
+        _case("doubling-overflow", "project --base 1 --doubling-months 1 --horizon 3000", code=4,
+              named=["projection overflows"]),
+        _case("cagr-overflow", "project --base 1 --rate 0.1 --years 100000", code=4,
+              named=["projection overflows after 100000 years"]),
         _case("config-ci-level-string", "simulate --input TABLE --config cfg.json",
               {"cfg.json": '{"ci_level": "x"}'}, named=["ci_level"]),
         _case("halfwidths-parsec", "simulate --input TABLE --halfwidths hw.json", _PARSEC_HW,

@@ -13,6 +13,7 @@ from scipy import stats
 from scipy.special import ndtri  # independent quantile oracle
 
 import emisim
+from emisim import cli
 from emisim.core import (
     DRIVER_VARIABLES,
     AnnualSeries,
@@ -94,11 +95,13 @@ def test_ci_sigma_roundtrip():
 
 
 def test_invalid_level():
-    for level in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(InvalidLevelError):
+    # at or below 2**-53, (1 + level) / 2 rounds to 0.5 and z to 0
+    for level in (0.0, 1.0, -0.5, 2.0, 2.0**-53, 1e-17, 1e-320):
+        with pytest.raises(InvalidLevelError, match=f"confidence level {level}"):
             ci_to_sigma(1.0, level)
-        with pytest.raises(InvalidLevelError):
+        with pytest.raises(InvalidLevelError, match=f"confidence level {level}"):
             sigma_to_ci(1.0, level)
+    assert ci_to_sigma(1.0, 2.0**-52) > 0.0
 
 
 def test_negative_halfwidth_rejected():
@@ -306,6 +309,32 @@ _STREAM_DIGESTS = {
 }
 _STREAM_DIGESTS["baseline(X86_V2)"] = _STREAM_DIGESTS["X86_V3"]
 
+#: ``emisim simulate --seed 42`` on the bundled table, by name: its further flags
+_CLI_RUNS = {
+    "per-variable": [],
+    "per-year-regression": ["--correlation", "per-year", "--model", "regression"],
+}
+
+#: By _LOG_TARGET and _CLI_RUNS name: the sha256 of the bands CSV (``--out``,
+#: and ``emisim bands --input`` on the matrix) and of the ``--matrix-out`` matrix
+_CLI_DIGESTS = {
+    "X86_V4": {
+        "per-variable": ("0be8d0c78eec41e2e9d0877fb85fcb55d2373fa3d9fc8905bbff9a1ff1ea2c16",
+                         "2f1bf7bf42c780834269dd963b0d064b6369ca1161de0836a783c9519dc5da7d"),
+        "per-year-regression": (
+            "655b72d6bd995170f6ed6a79fe5c6ae8bdcc4de9301a25c9d7456e245dfaf4a6",
+            "2c8ceb24c69911dc93428122fbad4ffb184c93126a680adc3e6db86c050a418d"),
+    },
+    "X86_V3": {
+        "per-variable": ("bca3b6b3efbf0aded35c5fbf112de97105ef67271839bd315a8cf311773d3140",
+                         "3a7532ac8ff10b5b336d91e9ec04f9554519721392a09210fec95924458cb7ba"),
+        "per-year-regression": (
+            "655b72d6bd995170f6ed6a79fe5c6ae8bdcc4de9301a25c9d7456e245dfaf4a6",
+            "0802b1cad6a878cbfaeb51f17b7f1042aac6d3bf6e0c2f5e4c3e45ce942417e5"),
+    },
+}
+_CLI_DIGESTS["baseline(X86_V2)"] = _CLI_DIGESTS["X86_V3"]
+
 
 # the case ids carry the X86_V4 v1 digests, as they have since v1
 _PIN_IDS = {n: f"{n}-{v1}" for n, (_, v1) in _STREAM_DIGESTS["X86_V4"].items()}
@@ -328,20 +357,35 @@ def test_standard_normals_bytes_are_pinned(n_slots):
     assert np.all(np.abs(z - v1) <= 4.0 * _EPS * r)
 
 
+@pytest.mark.parametrize("workers", ["1", "4"])
+@pytest.mark.parametrize("run", list(_CLI_RUNS))
+def test_cli_output_bytes_are_pinned(tmp_path, run, workers):
+    assert _LOG_TARGET in _CLI_DIGESTS, f"no CLI digests recorded for {_LOG_TARGET} log"
+    bands_digest, matrix_digest = _CLI_DIGESTS[_LOG_TARGET][run]
+    table_csv = Path(emisim.__file__).parent / "data" / "table2.csv"
+    out, matrix, again = tmp_path / "bands.csv", tmp_path / "matrix.csv", tmp_path / "again.csv"
+    assert cli.main(["simulate", "--input", str(table_csv), "--seed", "42", "--out", str(out),
+                     "--matrix-out", str(matrix), "--workers", workers, *_CLI_RUNS[run]]) == 0
+    assert cli.main(["bands", "--input", str(matrix), "--out", str(again)]) == 0
+    got = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, matrix, again)]
+    assert got == [bands_digest, matrix_digest, bands_digest]
+
+
 @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
 def test_stream_pin_holds_on_other_log_targets(disabled):
-    # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the pin runs in
-    # a child process that dispatches log as a host without AVX-512 (X86_V3)
-    # or without AVX2 either (the baseline) would
+    # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the stream and
+    # CLI pins run in a child process that dispatches log as a host without
+    # AVX-512 (X86_V3) or without AVX2 either (the baseline) would
     repo = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_standard_normals_bytes_are_pinned"],
+         f"{__file__}::test_standard_normals_bytes_are_pinned",
+         f"{__file__}::test_cli_output_bytes_are_pinned"],
         capture_output=True, text=True, cwd=repo,
         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(_PIN_IDS)} passed" in proc.stdout
+    assert f"{len(_PIN_IDS) + 2 * len(_CLI_RUNS)} passed" in proc.stdout
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
@@ -479,8 +523,8 @@ def test_clamped_draws_count_every_variable(table, mode, kind, halfwidths):
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_run_simulation_peak_memory_is_bounded(table, kind):
     # the driver arrays the model reads (three for the intensity model, four
-    # for the regression) plus the model's output, and one block of the
-    # regression's term buffer; the normals are drawn one block of rows at a time
+    # for the regression) plus the model's output, and one year column of a
+    # regression term; the normals are drawn one block of rows at a time
     cfg = SimulationConfig(realizations=50_000, master_seed=7, model_kind=kind,
                            correlation_mode=CorrelationMode.INDEPENDENT_PER_YEAR)
     tracemalloc.start()
@@ -489,7 +533,7 @@ def test_run_simulation_peak_memory_is_bounded(table, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = {ModelKind.IMPLIED_INTENSITY: 4.05, ModelKind.LINEAR_REGRESSION: 5.25}[kind]
+    bound = {ModelKind.IMPLIED_INTENSITY: 4.05, ModelKind.LINEAR_REGRESSION: 5.10}[kind]
     assert peak <= bound * result.matrix.nbytes
 
 

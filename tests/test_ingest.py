@@ -27,6 +27,7 @@ from emisim.ingest import (
     bundled_driver_table,
     bundled_inference_table,
     cagr_project,
+    cagr_value,
     csv_text,
     doubling_project,
     driver_table_to_csv_text,
@@ -677,9 +678,12 @@ def test_cagr_domain():
     for base, rate in ((math.inf, 0.1), (math.nan, 0.1), (100.0, math.nan), (100.0, math.inf)):
         with pytest.raises(ValueError):
             cagr_project(base, rate, 5)
-    for base, rate, years in ((1.0, 0.1, 100_000), (1e300, 1.0, 100)):
-        with pytest.raises(OverflowError):
+    # the power overflows at 1.1 ** 7448, the product at 1e300 * 2 ** 28
+    for base, rate, years, first in ((1.0, 0.1, 100_000, 7448), (1e300, 1.0, 100, 28)):
+        with pytest.raises(OverflowError, match=f"projection overflows after {first} years"):
             cagr_project(base, rate, years)
+    with pytest.raises(OverflowError, match="projection overflows after 100000000 years"):
+        cagr_value(1.0, 0.1, 100_000_000)
 
 
 def test_doubling_project():
@@ -693,8 +697,9 @@ def test_doubling_project():
     for args in rejected:
         with pytest.raises(ValueError):
             doubling_project(*args)
-    for args in ((1.0, 1.0, 3000.0), (1e300, 1.0, 1000.0)):
-        with pytest.raises(OverflowError):
+    # the power overflows in the first two, the product in the last
+    for args in ((1.0, 1.0, 3000.0), (1.0, 1e-300, 1.0), (1e300, 1.0, 1000.0)):
+        with pytest.raises(OverflowError, match="projection overflows"):
             doubling_project(*args)
 
 

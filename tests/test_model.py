@@ -11,7 +11,6 @@ from emisim.errors import (
 )
 from emisim.ingest import bundled_driver_table
 from emisim.model import (
-    _PREDICT_BLOCK_ROWS,
     fit_implied_intensity,
     fit_linear_regression,
     model_from_json,
@@ -197,20 +196,13 @@ def test_ols_needs_six_rows(table):
 
 
 def _whole_array_regression(model, semis, dc, mix, ai):
-    """The regression predict with one full-size term buffer."""
+    """The regression predict as one whole-array formula, summed left to right."""
     b0, b1, b2, b3, b4 = model.coefficients
-    values = np.multiply(semis, b1)
-    values += b0
-    term = np.empty_like(values)
-    for x, b in ((dc, b2), (mix, b3), (ai, b4)):
-        values += np.multiply(x, b, out=term)
-    return np.maximum(values, 0.0, out=values)
+    semis, dc, mix, ai = map(np.asarray, (semis, dc, mix, ai))
+    return np.maximum(b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai, 0.0)
 
 
-_B = _PREDICT_BLOCK_ROWS
-
-
-@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize("n", [1, 2, 17, 5000, 12295])
 def test_blocked_regression_predict_matches_whole_array(table, n):
     model = fit_linear_regression(table)
     rng = np.random.default_rng(n)
@@ -226,6 +218,10 @@ def test_blocked_regression_predict_matches_whole_array(table, n):
     assert got.flags.f_contiguous and got.shape == (n, len(table))
     assert got.tobytes() == expected.tobytes()
     assert np.any(got == 0.0) and np.any(got > 0.0)
+    # C-ordered arrays give the same values
+    c_ordered = [np.ascontiguousarray(v) for v in views]
+    got_c = model.predict_grid(table.years, *c_ordered)
+    assert got_c.flags.c_contiguous and got_c.tobytes() == expected.tobytes()
     # a (years,) column broadcasts against (n x years) drivers
     mixed = (views[0], views[1], means[2], views[3])
     assert model.predict_grid(table.years, *mixed).tobytes() == \
@@ -233,19 +229,20 @@ def test_blocked_regression_predict_matches_whole_array(table, n):
 
 
 def test_blocked_regression_predict_of_year_columns(table):
-    # the 1-D columns predict_table passes are blocked along the year axis
+    # the 1-D columns predict_table passes have one cell per year
     model = fit_linear_regression(table)
     columns = [np.array(table.column(v)) for v in DRIVER_VARIABLES]
     halved = [tuple(0.5 * c) for c in columns]
     got = model.predict_grid(table.years, *halved)
-    assert got.tobytes() == _whole_array_regression(model, *map(np.array, halved)).tobytes()
+    assert got.tobytes() == _whole_array_regression(model, *halved).tobytes()
     assert np.any(got == 0.0)
     assert predict_table(model, table).tobytes() == _whole_array_regression(model, *columns).tobytes()
 
 
 def test_blocked_regression_predict_memory(table):
+    # no term is held at full size: one year column's product at a time
     model = fit_linear_regression(table)
-    n = 3 * _B + 7
+    n = 12295
     drivers = np.ones((4, len(table), n))
     tracemalloc.start()
     try:
@@ -253,8 +250,7 @@ def test_blocked_regression_predict_memory(table):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = _B * len(table) * drivers.itemsize
-    assert peak <= got.nbytes + block + 64 * 1024
+    assert peak <= got.nbytes + n * drivers.itemsize + 64 * 1024
 
 
 def test_regression_clamps_negative_predictions(table):
