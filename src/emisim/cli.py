@@ -54,11 +54,10 @@ from .ingest import (
     load_bundle,
     parse_bundle_or_driver_table,
     parse_driver_csv,
-    parse_matrix_csv_text,
     read_json,
-    read_text,
     series_to_csv_text,
 )
+from .matrix import read_matrix_csv
 from .model import fit_model, model_to_json, predict_table
 
 _MODEL_NAMES = {"intensity": ModelKind.IMPLIED_INTENSITY, "regression": ModelKind.LINEAR_REGRESSION}
@@ -283,7 +282,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bands(args) -> int:
     _refuse_overwrites({"--out": args.out}, {"--input": args.input})
-    years, matrix = parse_matrix_csv_text(read_text(args.input))
+    years, matrix = read_matrix_csv(args.input)
     band = bands_from_matrix(matrix, years, args.percentiles or SimulationConfig.percentiles)
     _emit(args, band.to_csv_text(), band.to_dict())
     return EXIT_OK

@@ -50,7 +50,8 @@ from .errors import (
     InvalidLevelError,
     MissingHalfwidthError,
 )
-from .ingest import csv_text, matrix_csv_text
+from .ingest import csv_text
+from .matrix import matrix_csv_text
 from .model import READ_VARIABLES, EmissionModel, fit_model
 
 #: Version of the random stream behind every simulated number.
@@ -271,7 +272,7 @@ class EnsembleResult:
     def to_csv_text(self) -> str:
         """The matrix CSV: a header of years, then one row per realization,
         each cell its value's ``repr``, the shortest decimal that reads back
-        as the same double (see :func:`emisim.ingest.matrix_csv_text`)."""
+        as the same double (see :func:`emisim.matrix.matrix_csv_text`)."""
         return matrix_csv_text(self.years, self.matrix)
 
 

@@ -573,6 +573,10 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               named=["projection overflows"]),
         _case("cagr-overflow", "project --base 1 --rate 0.1 --years 100000", code=4,
               named=["projection overflows after 100000 years"]),
+        _case("cagr-power-overflow", "project --base 1 --rate 0.1 --years 100000000", code=4,
+              named=["projection overflows after 100000000 years"]),
+        _case("doubling-power-overflow", "project --base 1 --doubling-months 1e-300 --horizon 1",
+              code=4, named=["projection overflows"]),
         _case("config-ci-level-string", "simulate --input TABLE --config cfg.json",
               {"cfg.json": '{"ci_level": "x"}'}, named=["ci_level"]),
         _case("halfwidths-parsec", "simulate --input TABLE --halfwidths hw.json", _PARSEC_HW,
@@ -847,10 +851,21 @@ def test_equiv_negative(capsys):
     assert main(["equiv", "--", "-5"]) == 2
 
 
+def test_equiv_of_negative_zero_is_positive_zero(capsys):
+    assert main(["equiv", "--", "-0"]) == 0
+    assert capsys.readouterr().out == "0.0 homes (0.00 million)\n"
+
+
 def test_project_cagr(capsys):
     assert main(["project", "--base", "152", "--rate", "0.15", "--years", "7"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert 400.0 <= value <= 408.0
+
+
+def test_project_tiny_base_outweighs_an_overflowing_power(capsys):
+    # 1.1 ** 7500 overflows a double; 1e-300 times it is about 2.787e10
+    assert main(["project", "--base", "1e-300", "--rate", "0.1", "--years", "7500"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(2.7870110247876e10, rel=1e-12)
 
 
 def test_project_cagr_memory_does_not_grow_with_years(capsys):

@@ -42,7 +42,8 @@ from emisim.errors import (
     InvalidLevelError,
     MissingHalfwidthError,
 )
-from emisim.ingest import bundled_driver_table, parse_matrix_csv_text
+from emisim.ingest import bundled_driver_table
+from emisim.matrix import parse_matrix_csv_text
 from emisim.model import fit_implied_intensity, fit_model, predict_table
 
 
@@ -309,14 +310,32 @@ _STREAM_DIGESTS = {
 }
 _STREAM_DIGESTS["baseline(X86_V2)"] = _STREAM_DIGESTS["X86_V3"]
 
-#: ``emisim simulate --seed 42`` on the bundled table, by name: its further flags
+#: ``emisim simulate`` on the bundled table, by name: its own flags, and the
+#: output flags that ``emisim bands --input`` on its matrix takes as well
 _CLI_RUNS = {
-    "per-variable": [],
-    "per-year-regression": ["--correlation", "per-year", "--model", "regression"],
+    "per-variable": (["--seed", "42"], []),
+    "per-year-regression": (["--seed", "42", "--correlation", "per-year", "--model", "regression"],
+                            []),
+    # the clamped runs write zero cells and other short cells
+    "regression-3pct": (["--seed", "42", "--model", "regression", "--halfwidth-pct", "3.0"], []),
+    "per-year-3pct": (["--seed", "7", "--correlation", "per-year", "--halfwidth-pct", "3.0",
+                       "--realizations", "3000"], []),
+    "per-year-regression-3pct": (["--seed", "7", "--correlation", "per-year", "--model",
+                                  "regression", "--halfwidth-pct", "3.0", "--realizations",
+                                  "3000"], []),
+    "percentiles": (["--seed", "5"], ["--percentiles", "0.1,2.5,50,97.5,99.9"]),
+    "json": (["--seed", "42"], ["--format", "json"]),
 }
 
-#: By _LOG_TARGET and _CLI_RUNS name: the sha256 of the bands CSV (``--out``,
-#: and ``emisim bands --input`` on the matrix) and of the ``--matrix-out`` matrix
+#: Command lines on the bundled table whose stdout is pinned, by name
+_CLI_STDOUT_RUNS = {
+    "simulate-stdout": ["simulate", "--seed", "42", "--realizations", "500"],
+    "fit-regression": ["fit", "--model", "regression"],
+}
+
+#: By _LOG_TARGET and _CLI_RUNS name: the sha256 of the bands file (``--out``,
+#: and ``emisim bands --input`` on the matrix) and of the ``--matrix-out``
+#: matrix; by _CLI_STDOUT_RUNS name: the sha256 of the stdout
 _CLI_DIGESTS = {
     "X86_V4": {
         "per-variable": ("0be8d0c78eec41e2e9d0877fb85fcb55d2373fa3d9fc8905bbff9a1ff1ea2c16",
@@ -324,6 +343,23 @@ _CLI_DIGESTS = {
         "per-year-regression": (
             "655b72d6bd995170f6ed6a79fe5c6ae8bdcc4de9301a25c9d7456e245dfaf4a6",
             "2c8ceb24c69911dc93428122fbad4ffb184c93126a680adc3e6db86c050a418d"),
+        "regression-3pct": (
+            "29870d37e95c5cfaf000b418e6a1e5c2de06b7931cc6e9dd32739e68d53d9f90",
+            "9b7b481e9d8d8eb71c23bdf754fb9613cc0eec5d72392e96e81c5d66d5fccf12"),
+        "per-year-3pct": (
+            "a688c2ef8c403fcd9c34ff95258205edabc45fcc38abedd906925c06af0ae05b",
+            "f3a1c29bd021a89e07bd84dd8fbbc20b6bc9128b72f780a22b2270d8c2446557"),
+        "per-year-regression-3pct": (
+            "10969ebeede51e2b7814ba59617dfc0e12e6bb1332300ff0c054af96c29591cb",
+            "eecd69581ff2dcda0b55b948aa0719547a22efe92ec4ccf75b7e3584ea3eab2c"),
+        "percentiles": (
+            "680b5d28e626255a8d8bbdd41aef73ebcad3798bf86517bf6bffd08f0a84b5c2",
+            "8c2f8feadce888665bf2f49b7ed0b5c0cce269f5b2ef7355c15a91bd42f9a306"),
+        "json": (
+            "e097457d4e55800c12b80b351d407063cbc65ac7cc8194d6f7a73933e946558f",
+            "2f1bf7bf42c780834269dd963b0d064b6369ca1161de0836a783c9519dc5da7d"),
+        "simulate-stdout": "0473f5dcff7d4fb298a1312d7e3ececf1653e64515b743093d2a6685faf8a44f",
+        "fit-regression": "d1ac0e971431d4005480ffaba2d3b2be68c9c669f3a75557fd667c66a55795de",
     },
     "X86_V3": {
         "per-variable": ("bca3b6b3efbf0aded35c5fbf112de97105ef67271839bd315a8cf311773d3140",
@@ -331,6 +367,23 @@ _CLI_DIGESTS = {
         "per-year-regression": (
             "655b72d6bd995170f6ed6a79fe5c6ae8bdcc4de9301a25c9d7456e245dfaf4a6",
             "0802b1cad6a878cbfaeb51f17b7f1042aac6d3bf6e0c2f5e4c3e45ce942417e5"),
+        "regression-3pct": (
+            "29870d37e95c5cfaf000b418e6a1e5c2de06b7931cc6e9dd32739e68d53d9f90",
+            "aaf2e971fcd73104f1f779deafcd02c686108d2bcf29a82381ca0fbeaa29541a"),
+        "per-year-3pct": (
+            "a688c2ef8c403fcd9c34ff95258205edabc45fcc38abedd906925c06af0ae05b",
+            "0632d2143e0621585256788ac076cc01b70158c9151e41099ff2a5b293ab2050"),
+        "per-year-regression-3pct": (
+            "10969ebeede51e2b7814ba59617dfc0e12e6bb1332300ff0c054af96c29591cb",
+            "36f0dd0221fc492a8321959f0180f543269f6e7badb3ea584a47e5a49a40761a"),
+        "percentiles": (
+            "680b5d28e626255a8d8bbdd41aef73ebcad3798bf86517bf6bffd08f0a84b5c2",
+            "77690288902957fcabe128772d609485e7b4b7348a74690f6473262a1d3d8f75"),
+        "json": (
+            "d9ca027642c9ce95228a862719bbb67a2ea429ff57f346138e22685f0d5780da",
+            "3a7532ac8ff10b5b336d91e9ec04f9554519721392a09210fec95924458cb7ba"),
+        "simulate-stdout": "0473f5dcff7d4fb298a1312d7e3ececf1653e64515b743093d2a6685faf8a44f",
+        "fit-regression": "d1ac0e971431d4005480ffaba2d3b2be68c9c669f3a75557fd667c66a55795de",
     },
 }
 _CLI_DIGESTS["baseline(X86_V2)"] = _CLI_DIGESTS["X86_V3"]
@@ -362,13 +415,23 @@ def test_standard_normals_bytes_are_pinned(n_slots):
 def test_cli_output_bytes_are_pinned(tmp_path, run, workers):
     assert _LOG_TARGET in _CLI_DIGESTS, f"no CLI digests recorded for {_LOG_TARGET} log"
     bands_digest, matrix_digest = _CLI_DIGESTS[_LOG_TARGET][run]
+    flags, shared = _CLI_RUNS[run]
     table_csv = Path(emisim.__file__).parent / "data" / "table2.csv"
     out, matrix, again = tmp_path / "bands.csv", tmp_path / "matrix.csv", tmp_path / "again.csv"
-    assert cli.main(["simulate", "--input", str(table_csv), "--seed", "42", "--out", str(out),
-                     "--matrix-out", str(matrix), "--workers", workers, *_CLI_RUNS[run]]) == 0
-    assert cli.main(["bands", "--input", str(matrix), "--out", str(again)]) == 0
+    assert cli.main(["simulate", "--input", str(table_csv), "--out", str(out), "--matrix-out",
+                     str(matrix), "--workers", workers, *flags, *shared]) == 0
+    assert cli.main(["bands", "--input", str(matrix), "--out", str(again), *shared]) == 0
     got = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, matrix, again)]
     assert got == [bands_digest, matrix_digest, bands_digest]
+
+
+@pytest.mark.parametrize("run", list(_CLI_STDOUT_RUNS))
+def test_cli_stdout_bytes_are_pinned(capsys, run):
+    assert _LOG_TARGET in _CLI_DIGESTS, f"no CLI digests recorded for {_LOG_TARGET} log"
+    table_csv = Path(emisim.__file__).parent / "data" / "table2.csv"
+    assert cli.main([*_CLI_STDOUT_RUNS[run], "--input", str(table_csv)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == _CLI_DIGESTS[_LOG_TARGET][run]
 
 
 @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
@@ -381,11 +444,12 @@ def test_stream_pin_holds_on_other_log_targets(disabled):
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_standard_normals_bytes_are_pinned",
-         f"{__file__}::test_cli_output_bytes_are_pinned"],
+         f"{__file__}::test_cli_output_bytes_are_pinned",
+         f"{__file__}::test_cli_stdout_bytes_are_pinned"],
         capture_output=True, text=True, cwd=repo,
         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(_PIN_IDS) + 2 * len(_CLI_RUNS)} passed" in proc.stdout
+    assert f"{len(_PIN_IDS) + 2 * len(_CLI_RUNS) + len(_CLI_STDOUT_RUNS)} passed" in proc.stdout
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -35,20 +36,20 @@ from emisim.ingest import (
     inference_energy,
     inference_table_to_csv_text,
     load_bundle,
-    matrix_csv_text,
     parse_driver_csv,
     parse_driver_csv_text,
     parse_inference_table_text,
-    parse_matrix_csv_text,
     parse_series_csv,
     parse_series_csv_text,
     series_to_csv_text,
 )
-from emisim import ingest
-from emisim.ingest import (
+from emisim import matrix as matrix_module
+from emisim.matrix import (
     _certified,
     _closest_shortest,
     _repr_digits,
+    matrix_csv_text,
+    parse_matrix_csv_text,
 )
 
 DRIVER_HEADER = "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt"
@@ -350,7 +351,7 @@ def _matrix_texts(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_matrix_texts(), st.sampled_from([1, 3, 16, ingest._MATRIX_BLOCK_CELLS]))
+@given(_matrix_texts(), st.sampled_from([1, 3, 16, matrix_module._MATRIX_BLOCK_CELLS]))
 # a tie and a power of two
 @example("2020,2021\n562949953421312.0625,1.0000000000000000\n", 2)
 @example("2020,2021\n0.0012345678901234567,00000000000001.00000000000000000001\n", 2)
@@ -373,7 +374,7 @@ def _matrix_texts(draw):
 @example("\n \n", 1)  # blank lines only
 @example("2020,2021\n\n1.5,2.5\n1.5,x\n", 2)  # a blank line right after the header
 def test_matrix_reader_matches_loadtxt(text, block_cells):
-    with mock.patch.object(ingest, "_MATRIX_BLOCK_CELLS", block_cells):
+    with mock.patch.object(matrix_module, "_MATRIX_BLOCK_CELLS", block_cells):
         assert _read_outcome(parse_matrix_csv_text, text) == _read_outcome(_loadtxt_matrix, text)
 
 
@@ -415,7 +416,7 @@ def test_matrix_reader_takes_each_path():
     }
     assert {cell: _reader_path(cell) for cell in cells} == cells
     text = "2020\n" + "".join(f"{cell}\n" for cell in cells)
-    with mock.patch.object(ingest, "float", create=True, wraps=float) as read_by_float:
+    with mock.patch.object(matrix_module, "float", create=True, wraps=float) as read_by_float:
         assert parse_matrix_csv_text(text)[1].ravel().tolist() == [float(c) for c in cells]
     assert [c.args[0] for c in read_by_float.call_args_list] == [
         cell for cell, path in cells.items() if not any(path)]
@@ -429,9 +430,9 @@ def test_matrix_reader_reads_a_block_of_other_lines_with_loadtxt():
     # feed in the middle of the file
     middle = text.index("\n", len(text) // 2) + 1
     text = text[:middle] + "nan,-1e3,0.5,2.0\r\r1.5,2.5,3.5,4.5\n" + text[middle:]
-    with (mock.patch.object(ingest, "_matrix_block_values",
-                            wraps=ingest._matrix_block_values) as blocks,
-          mock.patch.object(ingest, "_loadtxt", wraps=ingest._loadtxt) as loadtxt):
+    with (mock.patch.object(matrix_module, "_matrix_block_values",
+                            wraps=matrix_module._matrix_block_values) as blocks,
+          mock.patch.object(matrix_module, "_loadtxt", wraps=matrix_module._loadtxt) as loadtxt):
         years, parsed = parse_matrix_csv_text(text)
     assert blocks.call_count >= 8 and loadtxt.call_count == 1
     assert parsed.tobytes() == _loadtxt_matrix(text)[1].tobytes()
@@ -476,14 +477,14 @@ def test_matrix_reader_raises_a_late_error_in_one_pass():
 def test_matrix_reader_raises_an_early_error_within_one_block():
     matrix, text = _large_matrix_text()
     second = text.index("\n") + 1
-    with (mock.patch.object(ingest, "_matrix_block_values",
-                            wraps=ingest._matrix_block_values) as blocks,
+    with (mock.patch.object(matrix_module, "_matrix_block_values",
+                            wraps=matrix_module._matrix_block_values) as blocks,
           mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
           pytest.raises(SchemaError) as exc):
         parse_matrix_csv_text(text[:second] + "x" + text[second + 1:])
     assert (exc.value.line, exc.value.column, blocks.call_count) == (2, 1, 1)
     # the search reads the lines of that block alone
-    block_rows = ingest._MATRIX_BLOCK_CELLS // matrix.shape[1]
+    block_rows = matrix_module._MATRIX_BLOCK_CELLS // matrix.shape[1]
     assert sum(len(call.args[0]) for call in loadtxt.call_args_list) <= 4 * block_rows
 
 
@@ -493,11 +494,11 @@ def test_matrix_blocks_are_sized_from_the_first_data_row():
     header = text.index("\n") + 1
     calls = []
     for variant in (text, text[:header] + "\n" + text[header:]):
-        with mock.patch.object(ingest, "_matrix_block_values",
-                               wraps=ingest._matrix_block_values) as blocks:
+        with mock.patch.object(matrix_module, "_matrix_block_values",
+                               wraps=matrix_module._matrix_block_values) as blocks:
             assert parse_matrix_csv_text(variant)[1].tobytes() == matrix.tobytes()
         calls.append(blocks.call_count)
-    assert 1 < calls[0] == calls[1] <= 2 * -(-matrix.size // ingest._MATRIX_BLOCK_CELLS)
+    assert 1 < calls[0] == calls[1] <= 2 * -(-matrix.size // matrix_module._MATRIX_BLOCK_CELLS)
 
 
 def test_driver_json_alternative(tmp_path):
@@ -703,6 +704,16 @@ def test_doubling_project():
             doubling_project(*args)
 
 
+def test_projection_of_a_tiny_base_outweighs_an_overflowing_power():
+    # the float power overflows, the product does not: 60-digit references
+    with localcontext(prec=60):
+        cases = ((cagr_value(1e-300, 0.1, 7500), Decimal(1e-300) * (1 + Decimal(0.1)) ** 7500),
+                 (doubling_project(1e-300, 1.0, 1030.0), Decimal(1e-300) * Decimal(2) ** 1030))
+        for got, exact in cases:
+            assert abs(Decimal(got) - exact) <= Decimal("1e-12") * exact
+    assert round(cases[0][0], -6) == 27_870_000_000 and round(cases[1][0], -6) == 11_505_000_000
+
+
 # ---------------------------------------------------------------------------
 # Equivalences
 # ---------------------------------------------------------------------------
@@ -710,6 +721,7 @@ def test_doubling_project():
 def test_equivalent_homes_quoted_factor():
     assert equivalent_homes(100.0) == 13.5e6
     assert equivalent_homes(0.0) == 0.0
+    assert math.copysign(1.0, equivalent_homes(-0.0)) == 1.0
     assert equivalent_homes(126.0) == 17_010_000.0
 
 
