@@ -204,7 +204,7 @@ def cmd_emissions(args) -> int:
     _refuse_overwrites({"--out": args.out}, {"--input": args.input})
     source = parse_bundle_or_driver_table(args.input)
     if isinstance(source, DriverTable):
-        model = fit_model(source, _MODEL_NAMES[args.model or "intensity"])
+        model = fit_model(source, _MODEL_NAMES.get(args.model, SimulationConfig.model_kind))
         points = list(zip(source.years, predict_table(model, source).tolist()))
         text = csv_text(("year", "mean"), ((str(y), repr(v)) for y, v in points))
         _emit(args, text, {"mean": {str(y): v for y, v in points}})
@@ -232,7 +232,7 @@ def cmd_mean(args) -> int:
 def cmd_fit(args) -> int:
     _refuse_overwrites({"--out": args.out}, {"--input": args.input})
     table = parse_driver_csv(args.input)
-    model = fit_model(table, _MODEL_NAMES[args.model or "intensity"])
+    model = fit_model(table, _MODEL_NAMES.get(args.model, SimulationConfig.model_kind))
     _emit(args, model_to_json(model))
     return EXIT_OK
 

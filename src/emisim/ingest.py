@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -26,6 +27,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    DRIVER_VARIABLES,
     AnnualSeries,
     DriverRow,
     DriverTable,
@@ -37,7 +39,7 @@ from .core import (
 )
 from .errors import NegativeInputError, SchemaError, UnknownTaskError
 
-DRIVER_HEADER = ("year", "semis_twh", "dc_twh", "mix_factor", "ai_share", "co2_mt")
+DRIVER_HEADER = ("year", *DRIVER_VARIABLES, "co2_mt")
 SERIES_HEADER = ("year", "value")
 
 #: 100 Mt CO2 equals the annual energy-use emissions of ~13.5 million
@@ -338,12 +340,14 @@ def cagr_value(base: float, annual_rate: float, years: int) -> float:
     if years < 0:
         raise ValueError("years must be >= 0")
     try:  # a float power that overflows raises instead of giving inf
-        value = base * (1.0 + annual_rate) ** years
+        power = (1.0 + annual_rate) ** years
     except OverflowError:
-        try:  # a small base can still make the product finite
-            value = math.exp(math.log(base) + years * math.log1p(annual_rate))
-        except OverflowError:
-            value = math.inf
+        power = math.inf
+    try:  # an overflowing, subnormal or zero power loses what the product keeps
+        value = (base * power if sys.float_info.min <= power < math.inf
+                 else math.exp(math.log(base) + years * math.log1p(annual_rate)))
+    except OverflowError:
+        value = math.inf
     if math.isinf(value):
         raise OverflowError(f"projection overflows after {years} years")
     return value
@@ -365,12 +369,16 @@ def doubling_project(base: float, doubling_months: float, horizon_months: float)
         raise ValueError("base and horizon must be finite, and the doubling period finite and > 0")
     doublings = horizon_months / doubling_months
     try:  # a float power that overflows raises instead of giving inf
-        value = base * 2.0 ** doublings
+        power = 2.0 ** doublings
     except OverflowError:
-        try:  # a small base can still make the product finite
-            value = math.ldexp(base * 2.0 ** (doublings % 1.0), math.floor(doublings))
-        except OverflowError:
-            value = math.inf
+        power = math.inf
+    # an overflowing, subnormal or zero power loses what the product keeps;
+    # infinitely many doublings have no floor
+    try:
+        value = (base * power if sys.float_info.min <= power < math.inf or math.isinf(doublings)
+                 else math.ldexp(base * 2.0 ** (doublings % 1.0), math.floor(doublings)))
+    except OverflowError:
+        value = math.inf
     if math.isinf(value):
         raise OverflowError("projection overflows")
     return value

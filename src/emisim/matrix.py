@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -9,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SchemaError
-from .ingest import _parse_int, csv_text, read_text
+from .ingest import _parse_int, _plain_number, csv_text, read_text
 
 
 def read_matrix_csv(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:
@@ -48,30 +49,26 @@ def _next_line(text: str, start: int, line: int) -> tuple[str, int, int]:
     return "", line, start
 
 
-def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
-    """The rows of ``lines`` as ``np.loadtxt`` reads them, or None if it
-    rejects them or a line is not ``width`` numbers."""
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape[1] == width else None
-
-
-def _bad_line(rows: list[tuple[int, str]], width: int) -> SchemaError:
-    """The SchemaError, at its file line and column, of the first line of
-    ``(file line, text)`` pairs that :func:`_loadtxt` rejected together."""
-    lo, hi = 0, len(rows)  # bisect: rows before lo parse, rows[lo:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        parses = _loadtxt([ln for _, ln in rows[lo:mid]], width) is not None
-        lo, hi = (mid, hi) if parses else (lo, mid)
-    line, cells = rows[lo][0], rows[lo][1].split(",")
-    if len(cells) != width:
-        return SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
-    column = next(i for i, cell in enumerate(cells, 1)
-                  if not (cell.strip() and _loadtxt([cell], 1) is not None))
-    return SchemaError(line, column, f"{cells[column - 1].strip()!r} is not a number")
+def _other_block_values(rows: list[tuple[int, str]], width: int) -> np.ndarray:
+    """``np.loadtxt``'s rows of the non-blank ``(file line, text)`` pairs of a
+    block not in the writer's form, if it reads each line as ``width`` numbers;
+    else the first line that is not, found line by line with the readers'
+    number rule (it accepts what loadtxt accepts), raises its SchemaError."""
+    with suppress(ValueError):
+        values = np.loadtxt([text for _, text in rows], delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] == width:
+            return values
+    values = np.empty((len(rows), width))
+    for row, (line, text) in zip(values, rows):
+        cells = text.split(",")
+        if len(cells) != width:
+            raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
+        for column, cell in enumerate(cells, 1):
+            try:
+                row[column - 1] = _plain_number(cell.strip(), float)
+            except ValueError:
+                raise SchemaError(line, column, f"{cell.strip()!r} is not a number") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +284,9 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
     The text is read one block of about ``_MATRIX_BLOCK_CELLS`` cells at a
     time, ``row_chars`` characters a row, a slice that ends at a line feed,
     so that no copy of the whole text is made: a block in the writer's form
-    by :func:`_matrix_block_values`, any other by ``np.loadtxt`` over its
-    non-blank lines. A block ends just after a line feed, so that its lines
-    are the file's.
+    by :func:`_matrix_block_values`, any other by :func:`_other_block_values`
+    over its non-blank lines. A block ends just after a line feed, so that
+    its lines are the file's.
     """
     step = max(1, _MATRIX_BLOCK_CELLS // width) * row_chars
     out = np.empty((text.count("\n", start) + (not text.endswith("\n")), width))
@@ -305,8 +302,7 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
             line += len(lines)
             if not numbered:
                 continue
-            if (values := _loadtxt([ln for _, ln in numbered], width)) is None:
-                raise _bad_line(numbered, width)
+            values = _other_block_values(numbered, width)
         else:
             line += len(values)
         if rows + len(values) > len(out):  # lines that end with other line breaks

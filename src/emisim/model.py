@@ -157,15 +157,7 @@ def fit_linear_regression(table: DriverTable) -> LinearRegressionModel:
     n = len(table)
     if n < 6:
         raise ValueError(f"need at least 6 rows to fit 5 coefficients, got {n}")
-    design = np.column_stack(
-        [
-            np.ones(n),
-            table.column("semis_twh"),
-            table.column("dc_twh"),
-            table.column("mix_factor"),
-            table.column("ai_share"),
-        ]
-    )
+    design = np.column_stack([np.ones(n), *(table.column(v) for v in DRIVER_VARIABLES)])
     target = np.asarray(table.column("co2_mt"))
     # Rank check on column-normalized design so the very different column
     # scales (1 vs ~1000 TWh) cannot mask exact collinearity.

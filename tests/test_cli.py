@@ -868,6 +868,12 @@ def test_project_tiny_base_outweighs_an_overflowing_power(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(2.7870110247876e10, rel=1e-12)
 
 
+def test_project_large_base_outweighs_an_underflowing_power(capsys):
+    # 0.1 ** 400 underflows to 0.0; 1e300 times it is 1e-100
+    assert main(["project", "--base", "1e300", "--rate", "-0.9", "--years", "400"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(9.999999999999112e-101, rel=1e-12, abs=0)
+
+
 def test_project_cagr_memory_does_not_grow_with_years(capsys):
     # one number is printed, so nothing of size --years may be built
     tracemalloc.start()

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -327,6 +329,54 @@ _CLI_RUNS = {
     "json": (["--seed", "42"], ["--format", "json"]),
 }
 
+#: The manifest of each _CLI_RUNS entry, the same on every SIMD target: the
+#: config fields that differ from _MANIFEST_CONFIG (a halfwidth stands for
+#: every variable's), and the clamped draws and predictions
+_MANIFEST_CONFIG = {"realizations": 10_000, "master_seed": 42, "ci_level": 0.99, "halfwidths": 0.1,
+                    "correlation_mode": "per-variable", "percentiles": [5.0, 50.0, 95.0],
+                    "model_kind": "implied_intensity"}
+_CLI_MANIFESTS = {
+    "per-variable": ({}, (0, 0)),
+    "per-year-regression": ({"correlation_mode": "per-year", "model_kind": "linear_regression"},
+                            (0, 17_732)),
+    "regression-3pct": ({"halfwidths": 3.0, "model_kind": "linear_regression"}, (181_094, 65_217)),
+    "per-year-3pct": ({"realizations": 3000, "master_seed": 7, "halfwidths": 3.0,
+                       "correlation_mode": "per-year"}, (54_177, 0)),
+    "per-year-regression-3pct": ({"realizations": 3000, "master_seed": 7, "halfwidths": 3.0,
+                                  "correlation_mode": "per-year",
+                                  "model_kind": "linear_regression"}, (54_177, 19_488)),
+    "percentiles": ({"master_seed": 5, "percentiles": [0.1, 2.5, 50.0, 97.5, 99.9]}, (0, 0)),
+    "json": ({}, (0, 0)),
+}
+#: sha256 of the bundled table2.csv, the input of every _CLI_RUNS entry
+_TABLE_DIGEST = "28065a4eaa908d80ba320788ce4ceaa6aa1016cde17702e9702d4c60a924b206"
+
+
+def _check_manifest(path, run):
+    """The manifest of _CLI_RUNS entry ``run`` field by field, but for its
+    time, its duration and its output paths."""
+    manifest = json.loads(path.read_text())
+    overrides, (draws, predictions) = _CLI_MANIFESTS[run]
+    config = {**_MANIFEST_CONFIG, **overrides}
+    config["halfwidths"] = dict.fromkeys(DRIVER_VARIABLES, config["halfwidths"])
+    dispatch = opt_func_info(func_name="^(log|tan)$", signature="float64")
+    assert sorted(manifest) == ["config", "counters", "created_utc", "duration_seconds",
+                                "environment", "input_digests", "output_paths", "rng_stream",
+                                "tool_version"]
+    assert manifest["config"] == config
+    assert manifest["counters"] == {"clamped_draws": draws, "clamped_predictions": predictions}
+    assert (manifest["rng_stream"], manifest["tool_version"]) == ("splitmix-boxmuller-v2", "0.1.0")
+    assert list(manifest["input_digests"].values()) == [_TABLE_DIGEST]
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()),
+        "numpy_dispatch": {"log": {"dd": dispatch["log"]["dd"]["current"]},
+                           "tan": {"dd": dispatch["tan"]["dd"]["current"]}},
+    }
+
+
 #: Command lines on the bundled table whose stdout is pinned, by name
 _CLI_STDOUT_RUNS = {
     "simulate-stdout": ["simulate", "--seed", "42", "--realizations", "500"],
@@ -423,6 +473,7 @@ def test_cli_output_bytes_are_pinned(tmp_path, run, workers):
     assert cli.main(["bands", "--input", str(matrix), "--out", str(again), *shared]) == 0
     got = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, matrix, again)]
     assert got == [bands_digest, matrix_digest, bands_digest]
+    _check_manifest(tmp_path / "bands.csv.manifest.json", run)
 
 
 @pytest.mark.parametrize("run", list(_CLI_STDOUT_RUNS))
@@ -622,6 +673,44 @@ def test_regression_model_ensemble(table):
     cfg = _config(model_kind=ModelKind.LINEAR_REGRESSION)
     result = run_simulation(table, cfg)
     assert np.all(result.matrix >= 0.0)
+
+
+@pytest.mark.parametrize("mode", list(CorrelationMode))
+def test_regression_bands_hold_the_exact_marginal_quantiles(table, mode):
+    """Each year's regression output is max(X, 0) with X normal: mean
+    b0 + sum b_k m_k and variance sum b_k**2 s_k**2 over the drivers, in
+    either correlation mode, so its p-quantile is max(mu + sigma z_p, 0)
+    exactly. With the default 10% halfwidths no draw reaches a driver bound.
+    Each exact quantile must lie inside its 99.9% distribution-free interval
+    between two order statistics, ranks from Binomial(N, p) (Conover,
+    Practical Nonparametric Statistics, 3.2), and so must the band value.
+    Not covered here: the intensity model, and halfwidths wide enough to
+    clamp draws."""
+    b = np.array(fit_model(table, ModelKind.LINEAR_REGRESSION).coefficients)
+    means = np.array([table.column(v) for v in DRIVER_VARIABLES])
+    mu = b[0] + b[1:] @ means
+    sigma = np.sqrt(((b[1:, None] * 0.10 * means / stats.norm.ppf(0.995)) ** 2).sum(axis=0))
+    percentiles, n, seeds = np.array([5.0, 50.0, 95.0]), 100_000, range(5)
+    lo = stats.binom.ppf(0.0005, n, percentiles / 100.0).astype(int) - 1  # 0-based ranks
+    hi = stats.binom.ppf(0.9995, n, percentiles / 100.0).astype(int)
+    misses = {1.0: 0, 1.01: 0}  # the exact quantiles, and those of a sigma 1% too wide
+    z = stats.norm.ppf(percentiles / 100.0)
+    for seed in seeds:
+        config = SimulationConfig(realizations=n, master_seed=seed, correlation_mode=mode,
+                                  model_kind=ModelKind.LINEAR_REGRESSION)
+        result = run_simulation(table, config)
+        assert result.clamped_draws == 0
+        columns = np.sort(result.matrix, axis=0)
+        below, above = columns[lo].T, columns[hi].T  # (year, percentile)
+        band = bands(result).levels
+        assert np.all((below <= band) & (band <= above))
+        for scale in misses:
+            exact = np.maximum(mu[:, None] + scale * sigma[:, None] * z, 0.0)
+            misses[scale] += int(np.count_nonzero((exact < below) | (exact > above)))
+    # each interval misses with probability at most 0.001: allow the count
+    # that Binomial(checks, 0.001) exceeds with probability 1e-5 or less
+    allowed = stats.binom.isf(1e-5, len(seeds) * mu.size * percentiles.size, 0.001)
+    assert misses[1.0] <= allowed < misses[1.01]
 
 
 def test_ensemble_csv_roundtrip(table):

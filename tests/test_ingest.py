@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -21,6 +21,7 @@ from emisim.errors import (
 )
 from emisim.ingest import (
     InferenceTask,
+    _plain_number,
     bundle_from_dict,
     bundle_to_json_text,
     bundled_ai_co2_bundle,
@@ -378,6 +379,46 @@ def test_matrix_reader_matches_loadtxt(text, block_cells):
         assert _read_outcome(parse_matrix_csv_text, text) == _read_outcome(_loadtxt_matrix, text)
 
 
+# digits, number letters, whitespace that str.strip and loadtxt may treat
+# differently, control characters, and non-ASCII digits
+_CELL_CHARS = "0123456789.+-eEnaif_ \t\x00\x1f\xa0\u3000\u0661"
+
+
+_NUMBER_CELLS = st.from_regex(
+    r"[ \t\x00\x1f\xa0\u3000]{0,2}[+-]?([0-9\u0661_]+\.?[0-9]*|\.[0-9]+|nan|inf|infinity)"
+    r"([eE][+-]?[0-9]{1,3})?[ \t\x00\x1f\xa0\u3000]{0,2}", fullmatch=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(_CELL_CHARS, max_size=8) | _NUMBER_CELLS, min_size=1, max_size=3),
+       st.integers(1, 3))
+@example(["1e3", " -inf", "nan\t"], 3)
+@example(["1_0"], 1)
+@example(["\u0661"], 1)
+@example(["\xa01.5\u3000"], 1)
+@example(["\x001"], 1)
+@example(["1", " "], 2)  # a blank cell
+def test_loadtxt_accepts_the_cells_the_readers_number_rule_accepts(cells, width):
+    # the matrix reader reads a block of other lines with np.loadtxt, and its
+    # lines one at a time with _plain_number where loadtxt rejects the block:
+    # both must accept the same lines and read the same values
+    line = ",".join(cells)
+    assume(line.strip())  # the reader passes no blank line, and loadtxt warns on one
+    try:
+        loaded = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        loaded = None
+    try:
+        read = np.array([[_plain_number(cell.strip(), float) for cell in cells]])
+    except ValueError:
+        read = None
+    accepted = [x is not None and x.shape == (1, width) for x in (loaded, read)]
+    assert accepted[0] == accepted[1]
+    if accepted[0]:  # bit for bit, but any NaN equals any NaN
+        assert np.where(np.isnan(loaded), np.nan, loaded).tobytes() == \
+            np.where(np.isnan(read), np.nan, read).tobytes()
+
+
 def test_matrix_csv_reads_back_bit_for_bit_on_a_seeded_sweep():
     rng = np.random.default_rng(20261020)
     for _ in range(10):  # 1.2M values
@@ -432,7 +473,7 @@ def test_matrix_reader_reads_a_block_of_other_lines_with_loadtxt():
     text = text[:middle] + "nan,-1e3,0.5,2.0\r\r1.5,2.5,3.5,4.5\n" + text[middle:]
     with (mock.patch.object(matrix_module, "_matrix_block_values",
                             wraps=matrix_module._matrix_block_values) as blocks,
-          mock.patch.object(matrix_module, "_loadtxt", wraps=matrix_module._loadtxt) as loadtxt):
+          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
         years, parsed = parse_matrix_csv_text(text)
     assert blocks.call_count >= 8 and loadtxt.call_count == 1
     assert parsed.tobytes() == _loadtxt_matrix(text)[1].tobytes()
@@ -712,6 +753,20 @@ def test_projection_of_a_tiny_base_outweighs_an_overflowing_power():
         for got, exact in cases:
             assert abs(Decimal(got) - exact) <= Decimal("1e-12") * exact
     assert round(cases[0][0], -6) == 27_870_000_000 and round(cases[1][0], -6) == 11_505_000_000
+    # the mirror: a large base outweighs a power that underflows to 0.0 or to
+    # a subnormal with few digits left
+    doublings = -824.4537129326167 / 0.7684820997130858
+    with localcontext(prec=60):
+        cases = ((cagr_value(1e300, -0.9, 400), Decimal(1e300) * (1 - Decimal(0.9)) ** 400),
+                 (cagr_value(1e300, -0.9, 320), Decimal(1e300) * (1 - Decimal(0.9)) ** 320),
+                 (doubling_project(1e300, 1.0, -1100.0), Decimal(1e300) * Decimal(2) ** -1100),
+                 (doubling_project(4.574204648629793e+197, 0.7684820997130858, -824.4537129326167),
+                  Decimal(4.574204648629793e+197) * Decimal(2) ** Decimal(doublings)))
+        for got, exact in cases:
+            assert abs(Decimal(got) - exact) <= Decimal("1e-12") * exact
+    # a normal power keeps the plain product's bytes
+    assert cagr_value(1e300, -0.9, 300) == 1e300 * (1.0 - 0.9) ** 300
+    assert doubling_project(1e300, 1.0, -1000.0) == 1e300 * 2.0 ** -1000.0
 
 
 # ---------------------------------------------------------------------------
