@@ -150,8 +150,8 @@ def _resolve_simulation_config(args) -> SimulationConfig:
     doc = read_json(args.config, _json_object) if args.config else {}
     if args.halfwidths:
         # converted while read, so that a bad halfwidth names the file
-        doc["halfwidths"] = read_json(args.halfwidths, lambda hw: SimulationConfig.from_dict(
-            {"halfwidths": hw}).to_dict()["halfwidths"])
+        doc["halfwidths"] = read_json(args.halfwidths,
+                                      lambda hw: SimulationConfig(halfwidths=hw).halfwidths)
     elif args.halfwidth_pct is not None:
         doc["halfwidths"] = dict.fromkeys(DRIVER_VARIABLES, args.halfwidth_pct)
     flags = {
@@ -361,7 +361,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ci-level", type=_FLOAT, dest="ci_level",
                    help="confidence level (default 0.99)")
     p.add_argument("--halfwidth-pct", type=_FLOAT, dest="halfwidth_pct",
-                   help="halfwidth for every variable, as fraction of its mean (default 0.10)")
+                   help="halfwidth for every variable as a fraction of its mean, not a "
+                        "percent: 0.10 is +-10%% (default 0.10)")
     p.add_argument("--halfwidths", help="JSON file of per-variable halfwidths")
     p.add_argument("--correlation", choices=[mode.value for mode in CorrelationMode],
                    help="sampling mode (default per-variable)")

@@ -214,10 +214,17 @@ def converted(key: str, convert, value):
         raise ValueError(f"{key}: {type(exc).__name__}: {exc}") from None
 
 
+def _halfwidth(spec) -> HalfwidthSpec:
+    """A series, from its JSON form in TWh by default, or a fraction as a float."""
+    if isinstance(spec, AnnualSeries):
+        return spec
+    return AnnualSeries.from_json(spec, Unit.TWH) if isinstance(spec, Mapping) else as_number(spec)
+
+
 def _halfwidths(halfwidths: Mapping) -> dict[str, HalfwidthSpec]:
-    """``halfwidths`` with each fraction as a float, checked finite and >= 0."""
-    checked = {name: spec if isinstance(spec, AnnualSeries) else converted(name, as_number, spec)
-               for name, spec in halfwidths.items()}
+    """``halfwidths`` with each spec read by :func:`_halfwidth`, and each
+    fraction checked finite and >= 0."""
+    checked = {name: converted(name, _halfwidth, spec) for name, spec in halfwidths.items()}
     for name, spec in checked.items():
         if name not in DRIVER_VARIABLES:
             raise ValueError(f"unknown driver variable {name!r}")
@@ -245,7 +252,8 @@ class SimulationConfig:
     """Knobs for the Monte Carlo ensemble, each checked and converted once, here.
 
     ``halfwidths`` maps each driver variable to either a scalar (fraction of
-    the per-year mean) or an :class:`AnnualSeries` of absolute halfwidths.
+    the per-year mean) or an :class:`AnnualSeries` of absolute halfwidths,
+    which may come in its JSON form and then defaults to TWh.
     """
 
     realizations: int = 10_000
@@ -281,16 +289,11 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SimulationConfig":
-        """Inverse of :meth:`to_dict`: absent keys keep their defaults, a halfwidth
-        series may leave out its unit (TWh), and an unknown key raises ValueError."""
+        """Inverse of :meth:`to_dict`: absent keys keep their defaults, and an
+        unknown key raises ValueError."""
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-        halfwidths = doc.get("halfwidths")
-        if isinstance(halfwidths, Mapping):  # a series comes in its JSON form, TWh by default
-            doc = {**doc, "halfwidths": {name: converted(
-                f"halfwidths: {name}", lambda s: AnnualSeries.from_json(s, Unit.TWH), spec)
-                if isinstance(spec, Mapping) else spec for name, spec in halfwidths.items()}}
         return cls(**doc)
 
     def to_dict(self) -> dict:

@@ -1,6 +1,8 @@
 """Dataset parsing, bundled reference data, and side-calculation utilities.
 
-File formats (UTF-8, LF, decimal point, no thousands separators):
+File formats (UTF-8, decimal point, no thousands separators). A line ends
+at LF and nowhere else (a file read by :func:`read_text` has its CR and CRLF
+read as LF), and a line of whitespace only is blank:
 
 * series CSV: header ``year,value``
 * driver CSV: header ``year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt``
@@ -101,12 +103,13 @@ def _check_header(line: int, row: Sequence[str], expected: Sequence[str]) -> Non
 
 def _data_rows(text: str, header: Sequence[str]):
     """Yield ``(file line, stripped cells)`` for each data row of the CSV
-    ``text`` whose first non-blank row must be ``header``. Blank rows are
-    skipped but counted, so the line numbers are the file's. A row with
-    another cell count, or no data row at all, raises SchemaError."""
+    ``text`` whose first non-blank row must be ``header``. Blank rows, empty
+    or one cell of whitespace, are skipped but counted, so the line numbers
+    are the file's. A row with another cell count, or no data row at all,
+    raises SchemaError."""
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = [(reader.line_num, row) for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
     except csv.Error as exc:
         raise SchemaError(reader.line_num, 1, f"malformed CSV: {exc}") from None
     if not rows:
@@ -311,7 +314,10 @@ def inference_energy(task, count: int, table: "InferenceEnergyTable | None" = No
         raise NegativeInputError("count must be >= 0")
     if table is None:
         table = bundled_inference_table()
-    return table.energy(_coerce_task(task)) * count
+    wh = table.energy(_coerce_task(task)) * count
+    if math.isinf(wh):
+        raise OverflowError("inference energy overflows")
+    return wh
 
 
 def inference_table_to_csv_text(table: InferenceEnergyTable) -> str:
@@ -339,13 +345,17 @@ def cagr_value(base: float, annual_rate: float, years: int) -> float:
         raise ValueError(f"rate must be finite and > -1, got {annual_rate}")
     if years < 0:
         raise ValueError("years must be >= 0")
+    try:  # float arithmetic converts an int; one beyond the float range is inf
+        steps = float(years)
+    except OverflowError:
+        steps = math.inf
     try:  # a float power that overflows raises instead of giving inf
-        power = (1.0 + annual_rate) ** years
+        power = (1.0 + annual_rate) ** steps
     except OverflowError:
         power = math.inf
     try:  # an overflowing, subnormal or zero power loses what the product keeps
         value = (base * power if sys.float_info.min <= power < math.inf
-                 else math.exp(math.log(base) + years * math.log1p(annual_rate)))
+                 else math.exp(math.log(base) + steps * math.log1p(annual_rate)))
     except OverflowError:
         value = math.inf
     if math.isinf(value):
@@ -367,6 +377,8 @@ def doubling_project(base: float, doubling_months: float, horizon_months: float)
     """Exponential doubling: base * 2^(horizon / doubling)."""
     if not all(map(math.isfinite, (base, horizon_months))) or not 0.0 < doubling_months < math.inf:
         raise ValueError("base and horizon must be finite, and the doubling period finite and > 0")
+    if base == 0.0:  # zero however many doublings, infinitely many included
+        return base
     doublings = horizon_months / doubling_months
     try:  # a float power that overflows raises instead of giving inf
         power = 2.0 ** doublings

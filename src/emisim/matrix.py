@@ -1,4 +1,6 @@
-"""The realization-matrix CSV (UTF-8, LF): a header of years, then one row per realization."""
+"""The realization-matrix CSV (UTF-8): a header of years, then one row per
+realization. A line ends at LF and nowhere else; a line of whitespace only
+is blank, skipped but counted, so the line numbers are the file's."""
 
 from __future__ import annotations
 
@@ -20,10 +22,11 @@ def read_matrix_csv(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:
 
 def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     """Years and realization rows of a matrix CSV: a header of strictly
-    increasing years, then one row of numbers per realization; blank lines
-    are skipped. Every cell reads as ``float`` reads it: the correctly
-    rounded double (see :func:`_matrix_body`). The first error raises:
-    no data rows, then the header, then the first bad line of the body."""
+    increasing years, then one row of numbers per realization; lines of
+    whitespace only are skipped. Every cell reads as ``float`` reads it:
+    the correctly rounded double (see :func:`_matrix_body`). The first
+    error raises: no data rows, then the header, then the first bad line of
+    the body."""
     header, line, start = _next_line(text, 0, 0)
     row, row_line, row_start = _next_line(text, start + len(header), line)
     if not row:
@@ -37,15 +40,14 @@ def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
 
 def _next_line(text: str, start: int, line: int) -> tuple[str, int, int]:
     """The first non-blank line of ``text`` from offset ``start`` on, the
-    start of file line ``line + 1``: the line with its line break, its file
+    start of file line ``line + 1``: the line with its line feed, its file
     line and its offset; ``("", line, len(text))`` if there is none."""
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)
-        for part in text[start:end].splitlines(keepends=True):
-            line += 1
-            if part.strip():
-                return part, line, start
-            start += len(part)
+        line += 1
+        if text[start:end].strip():
+            return text[start:end], line, start
+        start = end
     return "", line, start
 
 
@@ -56,7 +58,7 @@ def _other_block_values(rows: list[tuple[int, str]], width: int) -> np.ndarray:
     number rule (it accepts what loadtxt accepts), raises its SchemaError."""
     with suppress(ValueError):
         values = np.loadtxt([text for _, text in rows], delimiter=",", comments=None, ndmin=2)
-        if values.shape[1] == width:
+        if values.shape == (len(rows), width):
             return values
     values = np.empty((len(rows), width))
     for row, (line, text) in zip(values, rows):
@@ -289,6 +291,7 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
     its lines are the file's.
     """
     step = max(1, _MATRIX_BLOCK_CELLS // width) * row_chars
+    # one row at most per line: the line feeds, and a last line without one
     out = np.empty((text.count("\n", start) + (not text.endswith("\n")), width))
     rows = 0
     while start < len(text):
@@ -297,16 +300,14 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
         start = end
         values = _matrix_block_values(block, width)
         if values is None:
-            lines = block.splitlines()
+            lines = block.split("\n")
             numbered = [(n, ln) for n, ln in enumerate(lines, line + 1) if ln.strip()]
-            line += len(lines)
+            line += len(lines) - 1  # the next block starts after the last line feed
             if not numbered:
                 continue
             values = _other_block_values(numbered, width)
         else:
             line += len(values)
-        if rows + len(values) > len(out):  # lines that end with other line breaks
-            out.resize((rows + len(values), width), refcheck=False)
         out[rows:rows + len(values)] = values
         rows += len(values)
     # no view of ``out`` is left, so it can shrink in place

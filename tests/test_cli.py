@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,16 +7,19 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.introspect import opt_func_info
 
 from emisim.cli import build_parser, main
 from emisim.core import SimulationConfig
 from emisim.ensemble import bands, bands_from_matrix, run_simulation
-from emisim.ingest import parse_driver_csv
+from emisim.ingest import InferenceTask, parse_driver_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = SRC / "emisim" / "data"
@@ -666,6 +670,13 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               named=["EMISIM_SEED", "'4_2'"]),
         _case("env-seed-non-ascii", "simulate --input TABLE", env={"EMISIM_SEED": "\u0664\u0662"},
               named=["EMISIM_SEED"]),
+        # a line ends at LF alone: the form feed is whitespace inside line 2
+        _case("matrix-form-feed-is-no-line-break", "bands --input m.csv --out b.csv",
+              {"m.csv": "2020\n1.5\f\n2.5\nx\n"}, named=["line 4, column 1", "'x'"]),
+        _case("inference-energy-overflow", f"inference-energy image_generation --count {10**306}",
+              code=4, named=["inference energy overflows"]),
+        _case("cagr-years-beyond-float", f"project --base 1 --rate 0.5 --years {10**400}", code=4,
+              named=["projection overflows"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
@@ -890,6 +901,65 @@ def test_project_doubling(capsys):
     assert main(["project", "--base", "1", "--doubling-months", "3.4", "--horizon", "12"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(11.55, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        # infinitely many doublings of zero, and powers of 1 and 0.5 beyond the float range
+        ("project --base 0 --doubling-months 1e-300 --horizon 1e300", "0.0"),
+        ("project --base -0.0 --doubling-months 1e-300 --horizon 1e300", "-0.0"),
+        (f"project --base 1 --rate 0 --years {10**400}", "1.0"),
+        (f"project --base 1 --rate -0.5 --years {10**400}", "0.0"),
+    ],
+    ids=["zero-base", "negative-zero-base", "rate-0-years-1e400", "rate-minus-half-years-1e400"],
+)
+def test_projection_past_the_float_range_ends_with_its_limit(capsys, argv, out):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
+_EDGE_NUMBERS = st.sampled_from([0.0, 5e-324, -5e-324, 1e308, -1e308])
+_COUNTS = st.integers(0, 10**400) | st.sampled_from([1, 10**306, 10**308, 10**309, 10**400])
+
+
+@st.composite
+def _side_calculations(draw):
+    """``(argv, rejected)``: a side calculation over edge inputs, and whether
+    its domain check rejects them (exit 2)."""
+    base = draw(_EDGE_NUMBERS)
+    kind = draw(st.sampled_from(["cagr", "doubling", "equiv", "inference-energy"]))
+    if kind == "cagr":
+        rate, years = draw(st.sampled_from([-0.5, 0.0, 0.5])), draw(_COUNTS)
+        return ["project", f"--base={base!r}", f"--rate={rate!r}", f"--years={years}"], base <= 0
+    if kind == "doubling":
+        # horizon / period overflows to +-inf, or to a power that does
+        period = draw(st.sampled_from([5e-324, 1e-300, 1.0, 1e300]))
+        horizon = draw(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308]))
+        return ["project", f"--base={base!r}", f"--doubling-months={period!r}",
+                f"--horizon={horizon!r}"], False
+    if kind == "equiv":
+        return ["equiv", "--", repr(base)], base < 0
+    task = draw(st.sampled_from(list(InferenceTask))).value
+    return ["inference-energy", task, f"--count={draw(_COUNTS)}"], False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_side_calculations())
+@example((["project", "--base=0.0", "--doubling-months=1e-300", "--horizon=1e300"], False))
+@example((["inference-energy", "image_generation", f"--count={10**306}"], False))
+@example((["project", "--base=1e308", "--rate=-0.5", f"--years={10**400}"], False))
+def test_side_calculations_print_a_finite_number_or_exit_with_one_line(case):
+    argv, rejected = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert not rejected and err.getvalue() == ""
+        assert math.isfinite(float(out.getvalue().split()[0]))
+    else:
+        assert code == (2 if rejected else 4) and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_project_mode_conflict(capsys):

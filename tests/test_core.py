@@ -348,6 +348,11 @@ def test_config_from_dict_defaults_and_series_unit():
     assert cfg.halfwidths == {"dc_twh": AnnualSeries(Unit.TWH, ((2020, 40.0),))}
 
 
+def test_config_reads_a_halfwidth_series_in_its_json_form_as_twh():
+    cfg = SimulationConfig(halfwidths={"dc_twh": {"points": [[2020, 40]]}, "ai_share": 0.1})
+    assert cfg.halfwidths == {"dc_twh": AnnualSeries(Unit.TWH, ((2020, 40.0),)), "ai_share": 0.1}
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [

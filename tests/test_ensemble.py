@@ -318,7 +318,8 @@ _CLI_RUNS = {
     "per-variable": (["--seed", "42"], []),
     "per-year-regression": (["--seed", "42", "--correlation", "per-year", "--model", "regression"],
                             []),
-    # the clamped runs write zero cells and other short cells
+    # the clamped runs write zero cells and other short cells; --halfwidth-pct
+    # takes a fraction of the mean, so their 3.0 is +-300%, not 3%
     "regression-3pct": (["--seed", "42", "--model", "regression", "--halfwidth-pct", "3.0"], []),
     "per-year-3pct": (["--seed", "7", "--correlation", "per-year", "--halfwidth-pct", "3.0",
                        "--realizations", "3000"], []),

@@ -42,6 +42,7 @@ from emisim.ingest import (
     parse_inference_table_text,
     parse_series_csv,
     parse_series_csv_text,
+    read_text,
     series_to_csv_text,
 )
 from emisim import matrix as matrix_module
@@ -51,6 +52,7 @@ from emisim.matrix import (
     _repr_digits,
     matrix_csv_text,
     parse_matrix_csv_text,
+    read_matrix_csv,
 )
 
 DRIVER_HEADER = "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt"
@@ -139,6 +141,8 @@ def test_series_csv_parse_and_errors():
         (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,91\r,269,0.62,0.02,1.03\n", 3, 1),
         (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2020,1\r2021,2\n", 2, 1),
         (parse_inference_table_text, "task,energy_wh\n\n" + "x" * 131_073 + ",1\n", 3, 1),
+        # a line of commas is no blank line
+        (parse_driver_csv_text, DRIVER_HEADER + "\n \t\n,,,,,\n2020,91,269,0.62,0.02,1.03\n", 3, 1),
         # int() and float() read digit-group underscores and non-ASCII digits;
         # the formats take neither
         (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2020,1_5\n", 2, 2),
@@ -180,6 +184,44 @@ def test_text_parsers_raise_only_emisim_or_value_errors(header, body):
             parse(header + body)
         except (EmisimError, ValueError):
             pass
+
+
+def test_whitespace_lines_are_blank():
+    table = parse_driver_csv_text(
+        " \t\n" + DRIVER_HEADER + "\n\x0c\n2020,91,269,0.62,0.02,1.03\n\u3000 \n")
+    assert [row.year for row in table.rows] == [2020]
+    series = parse_series_csv_text("year,value\n \n2020,1.5\n\t\n2021,2\n", Unit.TWH)
+    assert series.points == ((2020, 1.5), (2021, 2.0))
+
+
+# characters that str.splitlines, unlike the readers, ends a line at
+_NOT_LINE_BREAKS = "\x0b\x0c\x85\u2028"
+
+
+@pytest.mark.parametrize(
+    "read,text",
+    [
+        (parse_driver_csv,
+         DRIVER_HEADER + "\n2020,91\x0b,269\x0c,0.62,\x850.02,\u20281.03\n\x0b \x85\u2028\n"
+         "2021,101,bad,0.59,0.03,2.07\n"),
+        (lambda path: parse_series_csv(path, Unit.TWH),
+         "year,value\x0b\n2020\x0c,1\x85\n\u2028 \x0c\n2021,\x0bbad\n"),
+        (lambda path: parse_inference_table_text(read_text(path)),
+         "task,energy_wh\n\x0ctext_generation,47\u2028\n\x85\x0b\nsummarization\x85,bad\n"),
+        (read_matrix_csv, "2020,2021\x0c\n1.5\x0b,2.5\u2028\n\x85 \x0c\n1.5,\x85bad\n"),
+    ],
+    ids=["driver", "series", "inference-energy", "matrix"],
+)
+def test_readers_end_a_line_at_lf_alone(tmp_path, read, text):
+    assert all(c in text for c in _NOT_LINE_BREAKS)
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode("utf-8"))
+    offset = text.index("bad")
+    line_start = text.rfind("\n", 0, offset) + 1
+    with pytest.raises(SchemaError) as exc:
+        read(path)
+    assert (exc.value.line, exc.value.column) == (
+        text.count("\n", 0, offset) + 1, text.count(",", line_start, offset) + 1)
 
 
 def test_csv_text_ends_every_line_with_lf():
@@ -284,10 +326,10 @@ def test_matrix_writer_falls_back_to_repr_where_it_cannot_certify():
 
 def _loadtxt_matrix(text):
     """The matrix CSV reader before it read in blocks, the reader's reference:
-    np.loadtxt over the non-blank lines. Where that fails, the error is
+    np.loadtxt over the non-blank lines, each ended by LF alone. Where that fails, the error is
     searched for one line at a time and, in a line of the right width, one
     cell at a time: "no data rows" first, then the header, then the body."""
-    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    rows = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if len(rows) < 2:
         raise SchemaError(rows[0][0] + 1 if rows else 1, 1, "no data rows")
     (line, header), rows = rows[0], rows[1:]
@@ -366,7 +408,8 @@ def _matrix_texts(draw):
 # a bad cell on the first line of a block after the first
 @example("2020,2021\n" + "1.5,2.5\n" * 8 + "1.5,x\n", 16)
 @example("2020,2021\n1.5,2.5\n1.5,2.5\n1.5,x.5\n", 1)
-# failing blocks with other line breaks, and one after such a block
+# characters that are no line break inside a failing block, and one after
+# such a block
 @example("2020,2021\n1,2\r3,x\n", 2)
 @example("2020,2021\n1,2\x0b3,x\n", 2)
 @example("2020,2021\n1,2\u20283,x\n", 2)
@@ -380,13 +423,16 @@ def test_matrix_reader_matches_loadtxt(text, block_cells):
 
 
 # digits, number letters, whitespace that str.strip and loadtxt may treat
-# differently, control characters, and non-ASCII digits
-_CELL_CHARS = "0123456789.+-eEnaif_ \t\x00\x1f\xa0\u3000\u0661"
+# differently (the characters other rules end a line at among it), control
+# characters, and non-ASCII digits
+_CELL_CHARS = ("0123456789.+-eEnaif_ \t\x00\x1f\xa0\u3000\u0661"
+               "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 _NUMBER_CELLS = st.from_regex(
-    r"[ \t\x00\x1f\xa0\u3000]{0,2}[+-]?([0-9\u0661_]+\.?[0-9]*|\.[0-9]+|nan|inf|infinity)"
-    r"([eE][+-]?[0-9]{1,3})?[ \t\x00\x1f\xa0\u3000]{0,2}", fullmatch=True)
+    r"[ \t\x00\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000]{0,2}"
+    r"[+-]?([0-9\u0661_]+\.?[0-9]*|\.[0-9]+|nan|inf|infinity)"
+    r"([eE][+-]?[0-9]{1,3})?[ \t\x00\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000]{0,2}", fullmatch=True)
 
 
 @settings(max_examples=500, deadline=None)
@@ -467,10 +513,9 @@ def test_matrix_reader_reads_a_block_of_other_lines_with_loadtxt():
     rng = np.random.default_rng(3)
     matrix = rng.lognormal(4.0, 1.0, (20_000, 4))
     text = matrix_csv_text(range(2020, 2024), matrix)
-    # a carriage return, a blank line, nan and an exponent, all on one line
-    # feed in the middle of the file
+    # nan, an exponent and a line of whitespace in the middle of the file
     middle = text.index("\n", len(text) // 2) + 1
-    text = text[:middle] + "nan,-1e3,0.5,2.0\r\r1.5,2.5,3.5,4.5\n" + text[middle:]
+    text = text[:middle] + "nan,-1e3,0.5,2.0\n \n1.5,2.5,3.5,4.5\n" + text[middle:]
     with (mock.patch.object(matrix_module, "_matrix_block_values",
                             wraps=matrix_module._matrix_block_values) as blocks,
           mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
