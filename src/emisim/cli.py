@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -60,11 +60,27 @@ from .ingest import (
 from .matrix import read_matrix_csv
 from .model import fit_model, model_to_json, predict_table
 
+# The interpreter's builtin sha256, as random.py takes its sha512: hashlib
+# loads OpenSSL's libcrypto, some 3.5 MiB of peak RSS, to hash a few inputs.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:  # an interpreter built without its own sha256
+        from hashlib import sha256
+
 _MODEL_NAMES = {"intensity": ModelKind.IMPLIED_INTENSITY, "regression": ModelKind.LINEAR_REGRESSION}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1, and a negative
+    number in exponent form, like ``-1e3``, read as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern knows -1000 and -.5 but not -1e3 or -1.
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -91,13 +107,15 @@ def write_text_atomic(files: dict[Path, str]) -> None:
 @functools.cache
 def _environment() -> dict:
     """What besides the inputs decides a run's bytes, found once per process
-    and without starting one (``platform.platform()`` runs ``uname -p``)."""
+    and without starting one (``platform.platform()`` runs ``uname -p``).
+    ``libc`` is ``platform.libc_ver()``'s name and version, or "" where it
+    cannot name the C library."""
     dispatch = opt_func_info(func_name="^(log|tan)$", signature="float64")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "libc": " ".join(platform.libc_ver()),
+        "libc": " ".join(filter(None, platform.libc_ver())),
         # the random stream's bytes depend on the SIMD code numpy picks for these two
         "numpy_dispatch": {name: {signature: target["current"] for signature, target in loops.items()}
                            for name, loops in dispatch.items()},
@@ -253,7 +271,7 @@ def cmd_simulate(args) -> int:
     outputs = [str(path) for path in (out, *also) if path]
     if out:
         inputs = (args.input, args.config, args.halfwidths)
-        digests = {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        digests = {str(path): sha256(Path(path).read_bytes()).hexdigest()
                    for path in inputs if path}
         # everything needed to reproduce the run byte for byte
         manifest = {

@@ -359,7 +359,10 @@ def cagr_value(base: float, annual_rate: float, years: int) -> float:
     except OverflowError:
         value = math.inf
     if math.isinf(value):
-        raise OverflowError(f"projection overflows after {years} years")
+        # a count past 1e16 by its power of ten: an int of over 4300 digits
+        # has no str, and far smaller ones make a line of hundreds of digits
+        count = years if years < 10**16 else f"about 1e{math.log10(years):.0f}"
+        raise OverflowError(f"projection overflows after {count} years")
     return value
 
 

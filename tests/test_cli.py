@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.introspect import opt_func_info
 
+from emisim import cli
 from emisim.cli import build_parser, main
 from emisim.core import SimulationConfig
 from emisim.ensemble import bands, bands_from_matrix, run_simulation
@@ -229,7 +230,7 @@ def test_simulate_manifest_records_stream_and_environment(tmp_path):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "libc": " ".join(platform.libc_ver()),
+        "libc": " ".join(filter(None, platform.libc_ver())),
         "numpy_dispatch": {"log": {"dd": dispatch["log"]["dd"]["current"]},
                            "tan": {"dd": dispatch["tan"]["dd"]["current"]}},
     }
@@ -252,11 +253,31 @@ def test_simulate_manifest_records_clamp_counters(tmp_path, capsys, model):
     assert matrix_out.read_text() == result.to_csv_text()
 
 
+def test_environment_of_an_unnamed_libc_is_empty(monkeypatch):
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    assert cli._environment.__wrapped__()["libc"] == ""
+
+
 def test_simulate_manifest_starts_no_process(tmp_path):
-    argv = ["simulate", "--input", TABLE, "--realizations", "10", "--out", str(tmp_path / "b.csv")]
-    proc = _run_python("-c", f"import sys; from emisim.cli import main; code = main({argv!r}); "
-                             "print(code, 'subprocess' in sys.modules)")
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    matrix = str(tmp_path / "m.csv")
+    runs = [["simulate", "--input", TABLE, "--realizations", "10", "--out", str(tmp_path / "b.csv"),
+             "--matrix-out", matrix],
+            ["bands", "--input", matrix, "--out", str(tmp_path / "r.csv")]]
+    proc = _run_python("-c", "import sys; from emisim.cli import main; "
+                             f"codes = [main(argv) for argv in {runs!r}]; "
+                             "print(codes, 'subprocess' in sys.modules, '_hashlib' in sys.modules)")
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False False", proc.stderr
+
+
+def test_manifest_digests_without_the_builtin_sha256(tmp_path):
+    out = tmp_path / "b.csv"
+    argv = ["simulate", "--input", TABLE, "--realizations", "10", "--out", str(out)]
+    hide = 'sys.modules["_sha2"] = sys.modules["_sha256"] = None'
+    proc = _run_python("-c", f"import hashlib, sys; {hide}; import emisim.cli as cli; "
+                             f"print(cli.sha256 is hashlib.sha256, cli.main({argv!r}))")
+    assert proc.stdout.splitlines()[-1] == "True 0", proc.stderr
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert manifest["input_digests"] == {TABLE: _sha256(TABLE)}
 
 
 def test_simulate_zero_halfwidth_collapses_bands(tmp_path):
@@ -676,7 +697,7 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
         _case("inference-energy-overflow", f"inference-energy image_generation --count {10**306}",
               code=4, named=["inference energy overflows"]),
         _case("cagr-years-beyond-float", f"project --base 1 --rate 0.5 --years {10**400}", code=4,
-              named=["projection overflows"]),
+              named=["OverflowError: projection overflows after about 1e400 years"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
@@ -860,6 +881,17 @@ def test_equiv(capsys):
 
 def test_equiv_negative(capsys):
     assert main(["equiv", "--", "-5"]) == 2
+
+
+def test_negative_numbers_in_exponent_form_are_values(capsys):
+    assert main(["project", "--base", "1", "--doubling-months", "1", "--horizon=-1e3"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["project", "--base", "1", "--doubling-months", "1", "--horizon", "-1e3"]) == 0
+    assert capsys.readouterr().out == expected == "9.332636185032189e-302\n"
+    assert main(["project", "--base", "1", "--doubling-months", "1", "--horizon", "-1.E+3"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["equiv", "-1e3"]) == 2
+    assert capsys.readouterr().err == "error: NegativeInputError: emissions must be >= 0\n"
 
 
 def test_equiv_of_negative_zero_is_positive_zero(capsys):

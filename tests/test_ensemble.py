@@ -372,7 +372,7 @@ def _check_manifest(path, run):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "libc": " ".join(platform.libc_ver()),
+        "libc": " ".join(filter(None, platform.libc_ver())),
         "numpy_dispatch": {"log": {"dd": dispatch["log"]["dd"]["current"]},
                            "tan": {"dd": dispatch["tan"]["dd"]["current"]}},
     }

@@ -773,6 +773,16 @@ def test_cagr_domain():
         cagr_value(1.0, 0.1, 100_000_000)
 
 
+@pytest.mark.parametrize("years,count", [(10**16 - 1, "9999999999999999"), (10**16, "about 1e16"),
+                                         (10**400, "about 1e400"), (10**5000, "about 1e5000")],
+                         ids=["1e16-1", "1e16", "1e400", "1e5000"])
+def test_cagr_overflow_names_a_count_past_1e16_by_its_size(years, count):
+    # 10**5000 has more digits than int allows str to write
+    with pytest.raises(OverflowError) as info:
+        cagr_value(1.0, 0.5, years)
+    assert str(info.value) == f"projection overflows after {count} years"
+
+
 def test_doubling_project():
     assert doubling_project(1.0, 3.4, 12.0) == pytest.approx(
         math.exp(math.log(2.0) * 12.0 / 3.4), rel=1e-12
