@@ -6,7 +6,6 @@ reports P5/P50/P95 bands, plus growth-projection and equivalence utilities.
 """
 
 from .core import (
-    AlignmentGroup,
     AnnualSeries,
     CorrelationMode,
     DriverRow,
@@ -16,7 +15,6 @@ from .core import (
     ScenarioTrajectory,
     SimulationConfig,
     Unit,
-    align_scenarios,
     mean_scenario,
     validate_driver_table,
 )
@@ -44,7 +42,6 @@ from .ingest import (
     inference_energy,
     load_bundle,
     parse_driver_csv,
-    parse_series_csv,
 )
 from .model import (
     ImpliedIntensityModel,
@@ -57,7 +54,6 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentGroup",
     "AnnualSeries",
     "CorrelationMode",
     "DriverRow",
@@ -75,7 +71,6 @@ __all__ = [
     "ScenarioTrajectory",
     "SimulationConfig",
     "Unit",
-    "align_scenarios",
     "bands",
     "build_perturbations",
     "bundled_ai_co2_bundle",
@@ -92,7 +87,6 @@ __all__ = [
     "load_bundle",
     "mean_scenario",
     "parse_driver_csv",
-    "parse_series_csv",
     "percentile",
     "run_simulation",
     "sigma_to_ci",

@@ -75,12 +75,14 @@ _MODEL_NAMES = {"intensity": ModelKind.IMPLIED_INTENSITY, "regression": ModelKin
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1, and a negative
-    number in exponent form, like ``-1e3``, read as a value, not an option."""
+    number in exponent form, like ``-1e3``, or a word ``float`` reads, like
+    ``-inf``, read as a value, not an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern knows -1000 and -.5 but not -1e3 or -1.
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+        # argparse's own pattern knows -1000 and -.5 but not -1e3, -1. or -inf.
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:inf(?:inity)?|nan))$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

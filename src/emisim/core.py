@@ -2,8 +2,8 @@
 
 Everything here is an immutable value object, validated on construction:
 annual series, scenario trajectories, the driver table, and the simulation
-configuration, plus the three operations shared by the rest of the package
-(mean scenario, scenario alignment, driver-table validation).
+configuration, plus the two operations shared by the rest of the package
+(mean scenario, driver-table validation).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     GapInYearsError,
     NonPositiveValueError,
     UnitMismatchError,
-    UnknownScenarioNameError,
 )
 
 
@@ -38,13 +37,6 @@ class ScenarioFamily(str, Enum):
     SHELL = "Shell"
     IEA = "IEA"
     AI_STUDY = "AIStudy"
-
-
-class AlignmentGroup(str, Enum):
-    SURGE = "SurgeGroup"
-    ARCHIPELAGOS = "ArchipelagosGroup"
-    HORIZON = "HorizonGroup"
-    BASELINE_CRISIS = "BaselineCrisisGroup"
 
 
 class CorrelationMode(str, Enum):
@@ -137,27 +129,21 @@ class AnnualSeries:
         return {"unit": self.unit.value, "points": [list(p) for p in self.points]}
 
     @classmethod
-    def from_json(cls, doc, unit: Unit | None = None) -> "AnnualSeries":
-        """Inverse of :meth:`to_json`; bare points, or a form without its unit, take ``unit``."""
-        if isinstance(doc, Mapping):
-            unit = doc.get("unit", unit)
-            doc = doc["points"]
+    def from_json(cls, doc: Mapping, unit: Unit | None = None) -> "AnnualSeries":
+        """Inverse of :meth:`to_json`; a form without its unit takes ``unit``."""
+        unit, points = doc.get("unit", unit), doc["points"]
         if unit is None:
             raise ValueError("series has no unit")
-        return cls(Unit(unit), tuple(doc))
+        return cls(Unit(unit), tuple(points))
 
 
 @dataclass(frozen=True)
 class ScenarioTrajectory:
-    """A named annual trajectory with its family and alignment group.
-
-    ``alignment`` is None until :func:`align_scenarios` annotates it.
-    """
+    """A named annual trajectory with its family and provenance."""
 
     name: str
     family: ScenarioFamily
     series: AnnualSeries
-    alignment: AlignmentGroup | None = None
     provenance: str = ""
 
 
@@ -308,80 +294,6 @@ class SimulationConfig:
             "percentiles": list(self.percentiles),
             "model_kind": self.model_kind.value,
         }
-
-
-# ---------------------------------------------------------------------------
-# Scenario alignment
-# ---------------------------------------------------------------------------
-
-#: Fixed mapping from scenario name to (family, alignment group). This is
-#: data, not configuration: the pairing of the Shell scenarios, the IEA
-#: sensitivity cases and the AI-consumption scenarios is a fixed editorial
-#: choice reproduced here verbatim.
-SCENARIO_ALIGNMENT: dict[str, tuple[ScenarioFamily, AlignmentGroup]] = {
-    "Surge": (ScenarioFamily.SHELL, AlignmentGroup.SURGE),
-    "Lift-Off": (ScenarioFamily.IEA, AlignmentGroup.SURGE),
-    "Abundance Without Boundaries": (ScenarioFamily.AI_STUDY, AlignmentGroup.SURGE),
-    "Archipelagos": (ScenarioFamily.SHELL, AlignmentGroup.ARCHIPELAGOS),
-    "Headwinds": (ScenarioFamily.IEA, AlignmentGroup.ARCHIPELAGOS),
-    "Limits To Growth": (ScenarioFamily.AI_STUDY, AlignmentGroup.ARCHIPELAGOS),
-    "Horizon": (ScenarioFamily.SHELL, AlignmentGroup.HORIZON),
-    "High Efficiency": (ScenarioFamily.IEA, AlignmentGroup.HORIZON),
-    "Sustainable AI": (ScenarioFamily.AI_STUDY, AlignmentGroup.HORIZON),
-    "Baseline": (ScenarioFamily.IEA, AlignmentGroup.BASELINE_CRISIS),
-    "Energy Crisis": (ScenarioFamily.AI_STUDY, AlignmentGroup.BASELINE_CRISIS),
-}
-
-_NAME_ALIASES = {"abundance": "Abundance Without Boundaries"}
-
-
-def _normalize_name(name: str) -> str:
-    key = " ".join(name.replace("-", " ").replace("_", " ").split()).lower()
-    if key.endswith(" case"):
-        key = key[: -len(" case")]
-    return key
-
-
-_CANONICAL_BY_KEY = {_normalize_name(n): n for n in SCENARIO_ALIGNMENT}
-_CANONICAL_BY_KEY.update({k: v for k, v in _NAME_ALIASES.items()})
-
-
-def canonical_scenario_name(name: str) -> str:
-    """Resolve spelling variants ("Lift-Off Case", "lift off") to the
-    canonical scenario name, or raise :class:`UnknownScenarioNameError`."""
-    key = _normalize_name(name)
-    if key not in _CANONICAL_BY_KEY:
-        raise UnknownScenarioNameError(name)
-    return _CANONICAL_BY_KEY[key]
-
-
-def alignment_for(name: str) -> AlignmentGroup:
-    return SCENARIO_ALIGNMENT[canonical_scenario_name(name)][1]
-
-
-def align_scenarios(bundle: Sequence[ScenarioTrajectory]) -> list[ScenarioTrajectory]:
-    """Annotate every trajectory with its alignment group.
-
-    Idempotent: already-aligned trajectories come back unchanged. All unknown
-    names are collected and reported together.
-    """
-    unknown = []
-    aligned = []
-    for traj in bundle:
-        try:
-            group = alignment_for(traj.name)
-        except UnknownScenarioNameError:
-            unknown.append(traj.name)
-            continue
-        if traj.alignment is group:
-            aligned.append(traj)
-        else:
-            aligned.append(
-                ScenarioTrajectory(traj.name, traj.family, traj.series, group, traj.provenance)
-            )
-    if unknown:
-        raise UnknownScenarioNameError(unknown)
-    return aligned
 
 
 # ---------------------------------------------------------------------------

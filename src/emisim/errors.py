@@ -33,16 +33,6 @@ class DisjointYearRangesError(EmisimError):
     """Input series share no common year."""
 
 
-class UnknownScenarioNameError(EmisimError):
-    """A scenario name is not in the fixed alignment dictionary."""
-
-    def __init__(self, names):
-        if isinstance(names, str):
-            names = [names]
-        self.names = list(names)
-        super().__init__(f"unknown scenario name(s): {', '.join(self.names)}")
-
-
 class DriverTableError(EmisimError):
     """Base class for driver-table validation failures.
 

@@ -4,12 +4,12 @@ File formats (UTF-8, decimal point, no thousands separators). A line ends
 at LF and nowhere else (a file read by :func:`read_text` has its CR and CRLF
 read as LF), and a line of whitespace only is blank:
 
-* series CSV: header ``year,value``
+* series CSV, which ``emisim mean`` writes: header ``year,value``
 * driver CSV: header ``year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt``
 * bundle JSON: ``{"trajectories": [{"name", "family", "unit", "points",
   "provenance"}, ...]}``
 
-JSON files with the same keys are accepted wherever a CSV is, dispatched on
+JSON files with the driver CSV's keys are accepted wherever it is, dispatched on
 the ``.json`` extension; where a bundle is accepted too, a JSON object with a
 ``"trajectories"`` key is a bundle and any other document a driver table.
 """
@@ -136,18 +136,6 @@ def parse_driver_csv_text(text: str) -> DriverTable:
     return DriverTable.from_rows(out)
 
 
-def parse_series_csv_text(text: str, unit: Unit) -> AnnualSeries:
-    points = []
-    for line, row in _data_rows(text, SERIES_HEADER):
-        points.append((_parse_int(row[0], line, 1, "year"), _parse_float(row[1], line, 2, "value")))
-        try:
-            # every series check compares a point with its predecessor at most
-            AnnualSeries(unit, tuple(points[-2:]))
-        except ValueError as exc:
-            raise SchemaError(line, 2, str(exc)) from None
-    return AnnualSeries(unit, tuple(points))
-
-
 def read_text(path: str | Path) -> str:
     """The text of the UTF-8 file ``path``. Bytes that are not UTF-8 end as a
     one-line SchemaError that points at the first of them; a file that
@@ -203,20 +191,6 @@ def parse_bundle_or_driver_table(path: str | Path) -> ScenarioBundle | DriverTab
                      and "trajectories" in doc else _driver_table_from_json(doc))
 
 
-def parse_series_csv(path: str | Path, unit: Unit) -> AnnualSeries:
-    """Parse an annual series from a CSV, or from a JSON series form (see
-    :meth:`AnnualSeries.from_json`) that takes ``unit`` if it has none."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        return read_json(path, lambda doc: AnnualSeries.from_json(doc, unit))
-    return parse_series_csv_text(read_text(path), unit)
-
-
-def driver_table_to_csv_text(table: DriverTable) -> str:
-    rows = ([str(r.year)] + [_fmt(getattr(r, k)) for k in DRIVER_HEADER[1:]] for r in table.rows)
-    return csv_text(DRIVER_HEADER, rows)
-
-
 def series_to_csv_text(series: AnnualSeries) -> str:
     return csv_text(SERIES_HEADER, ((str(y), _fmt(v)) for y, v in series.points))
 
@@ -239,27 +213,13 @@ class ScenarioBundle:
                 raise ValueError(f"duplicate trajectory {key}")
             seen.add(key)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.trajectories)
-
 
 def bundle_from_dict(doc: Mapping) -> ScenarioBundle:
-    """Inverse of :func:`bundle_to_dict`."""
+    """The bundle of a bundle JSON document (see the module docstring)."""
     return ScenarioBundle(tuple(
         ScenarioTrajectory(entry["name"], ScenarioFamily(entry["family"]),
                            AnnualSeries.from_json(entry), provenance=entry.get("provenance", ""))
         for entry in doc["trajectories"]))
-
-
-def bundle_to_dict(bundle: ScenarioBundle) -> dict:
-    """Each trajectory's name, family and provenance beside its series' JSON form."""
-    return {"trajectories": [
-        {"name": t.name, "family": t.family.value, **t.series.to_json(), "provenance": t.provenance}
-        for t in bundle.trajectories]}
-
-
-def bundle_to_json_text(bundle: ScenarioBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
 
 
 def load_bundle(path: str | Path) -> ScenarioBundle:
@@ -318,10 +278,6 @@ def inference_energy(task, count: int, table: "InferenceEnergyTable | None" = No
     if math.isinf(wh):
         raise OverflowError("inference energy overflows")
     return wh
-
-
-def inference_table_to_csv_text(table: InferenceEnergyTable) -> str:
-    return csv_text(("task", "energy_wh"), ((t.value, _fmt(table.energy(t))) for t in InferenceTask))
 
 
 def parse_inference_table_text(text: str) -> InferenceEnergyTable:

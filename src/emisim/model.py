@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 from .core import DRIVER_VARIABLES, AnnualSeries, DriverTable, ModelKind, Unit
@@ -180,7 +178,7 @@ def fit_model(table: DriverTable, kind: ModelKind | str) -> EmissionModel:
 
 
 # ---------------------------------------------------------------------------
-# JSON export / import
+# JSON export
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: EmissionModel) -> dict:
@@ -194,18 +192,3 @@ def model_to_dict(model: EmissionModel) -> dict:
 def model_to_json(model: EmissionModel) -> str:
     return json.dumps(model_to_dict(model), indent=2) + "\n"
 
-
-def model_from_dict(doc: Mapping) -> EmissionModel:
-    kind = ModelKind(doc["kind"])
-    if kind is ModelKind.IMPLIED_INTENSITY:
-        return ImpliedIntensityModel(AnnualSeries.from_json(doc["kappa"], Unit.MT_PER_TWH))
-    diag = doc.get("diagnostics", {})
-    return LinearRegressionModel(
-        coefficients=tuple(float(b) for b in doc["coefficients"]),
-        residual_sum_of_squares=float(diag.get("residual_sum_of_squares", 0.0)),
-        max_abs_residual=float(diag.get("max_abs_residual", 0.0)),
-    )
-
-
-def model_from_json(text: str) -> EmissionModel:
-    return model_from_dict(json.loads(text))

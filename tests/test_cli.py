@@ -894,6 +894,51 @@ def test_negative_numbers_in_exponent_form_are_values(capsys):
     assert capsys.readouterr().err == "error: NegativeInputError: emissions must be >= 0\n"
 
 
+# (args before the flag, flag, word, args after it, exit code of its = form)
+_NUMBER_WORD_FLAGS = [
+    (["project"], "--base", "-inf", ["--doubling-months", "1", "--horizon", "1"], 2),
+    (["project"], "--base", "-INFINITY", ["--rate", "0.1", "--years", "2"], 2),
+    (["project", "--base", "1"], "--rate", "-nan", ["--years", "2"], 2),
+    (["project", "--base", "1", "--rate", "0.1"], "--years", "-inf", [], 1),
+    (["project", "--base", "1"], "--doubling-months", "-Infinity", ["--horizon", "1"], 2),
+    (["project", "--base", "1", "--doubling-months", "1"], "--horizon", "-NaN", [], 2),
+    (["equiv"], None, "-inf", [], 2),
+    (["equiv"], None, "-nan", [], 2),
+    (["equiv"], None, "-Infinity", [], 2),
+    (["simulate", "--input", TABLE], "--ci-level", "-Infinity", [], 2),
+    (["simulate", "--input", TABLE], "--halfwidth-pct", "-inf", [], 2),
+    (["simulate", "--input", TABLE], "--seed", "-inf", [], 1),
+    (["simulate", "--input", TABLE], "--realizations", "-nan", [], 1),
+    (["simulate", "--input", TABLE], "--workers", "-inf", [], 1),
+    (["inference-energy", "text_generation"], "--count", "-NaN", [], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "before,flag,word,after,code", _NUMBER_WORD_FLAGS,
+    ids=[f"{b[0]}{flag or ''}{word}" for b, flag, word, _, _ in _NUMBER_WORD_FLAGS])
+def test_negative_number_words_are_values(capsys, before, flag, word, after, code):
+    # a word float reads after a minus sign is the flag's value: it fails as
+    # its = form (or, for a positional, its -- form) does, on the value itself
+    joined = [*before, f"{flag}={word}" if flag else "--", *([] if flag else [word]), *after]
+    spaced = [*before, *([flag] if flag else []), word, *after]
+    assert main(joined) == code
+    expected = capsys.readouterr()
+    assert main(spaced) == code
+    assert capsys.readouterr() == expected
+    assert expected.out == ""
+    if code == 2:
+        assert expected.err.count("\n") == 1
+    else:
+        assert f"'{word}'" in expected.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("word", ["-infinite", "-nans", "-in", "-infinityy", "-inf1"])
+def test_words_float_does_not_read_stay_options(capsys, word):
+    assert main(["project", "--base", word, "--doubling-months", "1", "--horizon", "1"]) == 1
+    assert capsys.readouterr().err.endswith("argument --base: expected one argument\n")
+
+
 def test_equiv_of_negative_zero_is_positive_zero(capsys):
     assert main(["equiv", "--", "-0"]) == 0
     assert capsys.readouterr().out == "0.0 homes (0.00 million)\n"

@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from emisim.core import (
-    SCENARIO_ALIGNMENT,
-    AlignmentGroup,
     DRIVER_VARIABLES,
     AnnualSeries,
     CorrelationMode,
@@ -20,7 +18,6 @@ from emisim.core import (
     ScenarioTrajectory,
     SimulationConfig,
     Unit,
-    align_scenarios,
     as_number,
     as_year,
     mean_scenario,
@@ -33,7 +30,6 @@ from emisim.errors import (
     GapInYearsError,
     NonPositiveValueError,
     UnitMismatchError,
-    UnknownScenarioNameError,
 )
 from emisim.ingest import bundled_ai_co2_bundle, bundled_driver_table
 
@@ -80,11 +76,10 @@ _series = st.builds(
 def test_series_json_round_trip(s):
     doc = json.loads(json.dumps(s.to_json()))
     assert AnnualSeries.from_json(doc) == s
-    # bare points, and a document without its unit, take the unit given
-    assert AnnualSeries.from_json(doc["points"], s.unit) == s
+    # a document without its unit takes the unit given
     assert AnnualSeries.from_json({"points": doc["points"]}, s.unit) == s
     with pytest.raises(ValueError, match="no unit"):
-        AnnualSeries.from_json(doc["points"])
+        AnnualSeries.from_json({"points": doc["points"]})
 
 
 def test_series_lookup():
@@ -169,51 +164,6 @@ def test_mean_errors():
         mean_scenario([_traj("a", [(2020, 1.0)], Unit.TWH), _traj("b", [(2020, 1.0)], Unit.MT_CO2)])
     with pytest.raises(DisjointYearRangesError):
         mean_scenario([_traj("a", [(2020, 1.0)]), _traj("b", [(2025, 1.0)])])
-
-
-# ---------------------------------------------------------------------------
-# align_scenarios
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "name,group",
-    [
-        ("Lift-Off", AlignmentGroup.SURGE),
-        ("Energy Crisis", AlignmentGroup.BASELINE_CRISIS),
-        ("Surge", AlignmentGroup.SURGE),
-        ("Abundance Without Boundaries", AlignmentGroup.SURGE),
-        ("Abundance", AlignmentGroup.SURGE),
-        ("Headwinds", AlignmentGroup.ARCHIPELAGOS),
-        ("Limits-To-Growth", AlignmentGroup.ARCHIPELAGOS),
-        ("High-Efficiency", AlignmentGroup.HORIZON),
-        ("Sustainable-AI", AlignmentGroup.HORIZON),
-        ("Baseline Case", AlignmentGroup.BASELINE_CRISIS),
-        ("lift off case", AlignmentGroup.SURGE),
-    ],
-)
-def test_alignment_mapping(name, group):
-    [aligned] = align_scenarios([_traj(name, [(2030, 1.0)])])
-    assert aligned.alignment is group
-
-
-def test_alignment_unknown_name():
-    with pytest.raises(UnknownScenarioNameError) as exc:
-        align_scenarios([_traj("FooScenario", [(2030, 1.0)])])
-    assert "FooScenario" in str(exc.value)
-
-
-def test_alignment_total_and_idempotent():
-    bundle = [_traj(name, [(2030, 1.0)]) for name in SCENARIO_ALIGNMENT]
-    assert len(bundle) == 11
-    once = align_scenarios(bundle)
-    twice = align_scenarios(once)
-    assert [t.alignment for t in once] == [t.alignment for t in twice]
-    assert all(t.alignment is not None for t in once)
-    # four groups, memberships 3/3/3/2
-    sizes = sorted(
-        sum(1 for t in once if t.alignment is g) for g in AlignmentGroup
-    )
-    assert sizes == [2, 3, 3, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from emisim.core import AlignmentGroup, ScenarioFamily, Unit, align_scenarios
+from emisim.core import AnnualSeries, ScenarioFamily, SimulationConfig, Unit
 from emisim.errors import (
     EmisimError,
     FractionOutOfRangeError,
@@ -23,7 +23,6 @@ from emisim.ingest import (
     InferenceTask,
     _plain_number,
     bundle_from_dict,
-    bundle_to_json_text,
     bundled_ai_co2_bundle,
     bundled_data_text,
     bundled_driver_table,
@@ -32,16 +31,13 @@ from emisim.ingest import (
     cagr_value,
     csv_text,
     doubling_project,
-    driver_table_to_csv_text,
     equivalent_homes,
     inference_energy,
-    inference_table_to_csv_text,
     load_bundle,
     parse_driver_csv,
     parse_driver_csv_text,
     parse_inference_table_text,
-    parse_series_csv,
-    parse_series_csv_text,
+    read_json,
     read_text,
     series_to_csv_text,
 )
@@ -108,16 +104,6 @@ def test_value_range_violations_surface_from_validation():
         parse_driver_csv_text(text)
 
 
-def test_series_csv_parse_and_errors():
-    series = parse_series_csv_text("year,value\n2020,1.5\n2021,2\n", Unit.TWH)
-    assert series.points == ((2020, 1.5), (2021, 2.0))
-    with pytest.raises(SchemaError):
-        parse_series_csv_text("", Unit.TWH)
-    with pytest.raises(SchemaError) as exc:
-        parse_series_csv_text("year,val\n2020,1\n", Unit.TWH)
-    assert exc.value.line == 1 and exc.value.column == 2
-
-
 @pytest.mark.parametrize(
     "parse,text,line,column",
     [
@@ -126,33 +112,33 @@ def test_series_csv_parse_and_errors():
          6, 3),
         (parse_driver_csv_text, "\n\n" + DRIVER_HEADER + "\n\n", 4, 1),
         (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,91,269\n", 3, 3),
-        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n\n2020,1\n\n2021,x\n", 5, 2),
-        (lambda text: parse_series_csv_text(text, Unit.TWH), "\nyear,val\n2020,1\n", 2, 2),
-        (lambda text: parse_series_csv_text(text, Unit.TWH), "\n\nyear,value\n2021,1\n2020,2\n", 5, 2),
-        (lambda text: parse_series_csv_text(text, Unit.FRACTION), "year,value\n\n2020,1.5\n", 3, 2),
         (parse_inference_table_text,
          "task,energy_wh\n\ntext_generation,47\n\n\nsummarization,-\n", 6, 2),
         (parse_inference_table_text, "task,energy_wh\n\n", 2, 1),
+        (parse_inference_table_text, "\ntask,energy\ntext_generation,1\n", 2, 2),
         (parse_matrix_csv_text, "2020,2021\n1,2\n\n3,x\n", 4, 2),
         (parse_matrix_csv_text, "\n2020,2021\n1,2\n\n3\n4,5\n", 5, 1),
         (parse_matrix_csv_text, "\n2020,20x1\n1,2\n", 2, 2),
         (parse_matrix_csv_text, "\n2020,2021\n\n", 3, 1),
         # the csv module's own errors: a bare CR inside a line, an oversized cell
         (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,91\r,269,0.62,0.02,1.03\n", 3, 1),
-        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2020,1\r2021,2\n", 2, 1),
+        (parse_inference_table_text, "task,energy_wh\ntext_generation,1\rsummarization,2\n", 2, 1),
         (parse_inference_table_text, "task,energy_wh\n\n" + "x" * 131_073 + ",1\n", 3, 1),
         # a line of commas is no blank line
         (parse_driver_csv_text, DRIVER_HEADER + "\n \t\n,,,,,\n2020,91,269,0.62,0.02,1.03\n", 3, 1),
         # int() and float() read digit-group underscores and non-ASCII digits;
         # the formats take neither
-        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2020,1_5\n", 2, 2),
-        (lambda text: parse_series_csv_text(text, Unit.TWH), "year,value\n2_020,1\n", 2, 1),
-        (lambda text: parse_series_csv_text(text, Unit.TWH),
-         "year,value\n\u0662\u0660\u0662\u0660,1\n", 2, 1),
+        (parse_driver_csv_text, DRIVER_HEADER + "\n2_020,91,269,0.62,0.02,1.03\n", 2, 1),
+        (parse_driver_csv_text,
+         DRIVER_HEADER + "\n\u0662\u0660\u0662\u0660,91,269,0.62,0.02,1.03\n", 2, 1),
         (parse_driver_csv_text, DRIVER_HEADER + "\n2020,91,2\u0666\u0669,0.62,0.02,1.03\n", 2, 3),
+        (parse_driver_csv_text, DRIVER_HEADER + "\n2020,9_1,269,0.62,0.02,1.03\n", 2, 2),
         (parse_inference_table_text, "task,energy_wh\ntext_generation,4_7\n", 2, 2),
+        (parse_inference_table_text, "task,energy_wh\ntext_generation,\u0664\u0667\n", 2, 2),
         (parse_matrix_csv_text, "2_020,2021\n1,2\n", 1, 1),
         (parse_matrix_csv_text, "\n2020,\u0662\u0660\u0662\u0661\n1,2\n", 2, 2),
+        (parse_matrix_csv_text, "2020,2021\n1_5,2\n", 2, 1),
+        (parse_matrix_csv_text, "2020,2021\n1,\u0662\n", 2, 2),
     ],
 )
 def test_parse_errors_count_blank_lines(parse, text, line, column):
@@ -163,7 +149,6 @@ def test_parse_errors_count_blank_lines(parse, text, line, column):
 
 _TEXT_PARSERS = [
     parse_driver_csv_text,
-    lambda text: parse_series_csv_text(text, Unit.TWH),
     parse_inference_table_text,
     parse_matrix_csv_text,
 ]
@@ -171,11 +156,11 @@ _TEXT_PARSERS = [
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(["", DRIVER_HEADER + "\n", "year,value\n", "task,energy_wh\n", "2020,2021\n"]),
+    st.sampled_from(["", DRIVER_HEADER + "\n", "task,energy_wh\n", "2020,2021\n"]),
     st.text(st.sampled_from(list("0123456789,.-+eEinfax_ \t\r\n\"")) | st.characters(),
             max_size=150),
 )
-@example("year,value\n", "2020,1\r2021,2\n")
+@example("task,energy_wh\n", "text_generation,1\rsummarization,2\n")
 @example(DRIVER_HEADER + "\n", "2020," + "9" * 131_073 + ",1,1,1,1\n")
 def test_text_parsers_raise_only_emisim_or_value_errors(header, body):
     # the CLI ends either with exit 2 and one line; anything else is a traceback
@@ -190,8 +175,6 @@ def test_whitespace_lines_are_blank():
     table = parse_driver_csv_text(
         " \t\n" + DRIVER_HEADER + "\n\x0c\n2020,91,269,0.62,0.02,1.03\n\u3000 \n")
     assert [row.year for row in table.rows] == [2020]
-    series = parse_series_csv_text("year,value\n \n2020,1.5\n\t\n2021,2\n", Unit.TWH)
-    assert series.points == ((2020, 1.5), (2021, 2.0))
 
 
 # characters that str.splitlines, unlike the readers, ends a line at
@@ -204,13 +187,11 @@ _NOT_LINE_BREAKS = "\x0b\x0c\x85\u2028"
         (parse_driver_csv,
          DRIVER_HEADER + "\n2020,91\x0b,269\x0c,0.62,\x850.02,\u20281.03\n\x0b \x85\u2028\n"
          "2021,101,bad,0.59,0.03,2.07\n"),
-        (lambda path: parse_series_csv(path, Unit.TWH),
-         "year,value\x0b\n2020\x0c,1\x85\n\u2028 \x0c\n2021,\x0bbad\n"),
         (lambda path: parse_inference_table_text(read_text(path)),
          "task,energy_wh\n\x0ctext_generation,47\u2028\n\x85\x0b\nsummarization\x85,bad\n"),
         (read_matrix_csv, "2020,2021\x0c\n1.5\x0b,2.5\u2028\n\x85 \x0c\n1.5,\x85bad\n"),
     ],
-    ids=["driver", "series", "inference-energy", "matrix"],
+    ids=["driver", "inference-energy", "matrix"],
 )
 def test_readers_end_a_line_at_lf_alone(tmp_path, read, text):
     assert all(c in text for c in _NOT_LINE_BREAKS)
@@ -598,17 +579,10 @@ def test_driver_json_alternative(tmp_path):
     assert table.years == (2020, 2021)
 
 
-def test_series_json_alternative(tmp_path):
-    path = tmp_path / "series.json"
-    path.write_text(json.dumps({"unit": "MtCO2", "points": [[2020, 1.0], [2021, 2.0]]}))
-    series = parse_series_csv(path, Unit.TWH)
-    assert series.unit is Unit.MT_CO2
-    assert series.points == ((2020, 1.0), (2021, 2.0))
-
-
 _JSON_READERS = [
     parse_driver_csv,
-    lambda path: parse_series_csv(path, Unit.TWH),
+    # as --halfwidths is read
+    lambda path: read_json(path, lambda hw: SimulationConfig(halfwidths=hw).halfwidths),
     load_bundle,
 ]
 # numbers that no int or float holds, at the edges of the ones that fit
@@ -631,11 +605,12 @@ _trajectory = st.fixed_dictionaries({
     "unit": st.sampled_from(["MtCO2", "TWh", "fraction"]) | _json_values,
     "points": _points,
 })
+_series_form = st.fixed_dictionaries({"unit": st.sampled_from(["TWh", "fraction"]) | _json_values,
+                                      "points": _points})
 _json_documents = (
     _json_values
     | st.fixed_dictionaries({"rows": _driver_rows}) | _driver_rows
-    | st.fixed_dictionaries({"unit": st.sampled_from(["TWh", "fraction"]) | _json_values,
-                             "points": _points}) | _points
+    | _series_form | st.fixed_dictionaries({"dc_twh": _series_form}) | _points
     | st.fixed_dictionaries({"trajectories": st.lists(_trajectory, max_size=3)})
 )
 
@@ -663,43 +638,52 @@ def test_json_readers_raise_only_emisim_or_value_errors(tmp_path_factory, text):
 # Round trips on bundled data
 # ---------------------------------------------------------------------------
 
+def _cell(value):
+    """A number as the bundled CSV files write it: a whole one without a point."""
+    return str(int(value)) if float(value).is_integer() else repr(value)
+
+
 def test_driver_table_roundtrip_byte_exact():
     raw = bundled_data_text("table2.csv")
-    assert driver_table_to_csv_text(parse_driver_csv_text(raw)) == raw
+    rows = ([_cell(getattr(r, k)) for k in DRIVER_HEADER.split(",")]
+            for r in parse_driver_csv_text(raw).rows)
+    assert csv_text(DRIVER_HEADER.split(","), rows) == raw
 
 
 def test_inference_table_roundtrip_byte_exact():
     raw = bundled_data_text("inference_energy.csv")
     table = bundled_inference_table()
-    assert inference_table_to_csv_text(table) == raw
+    rows = ((t.value, _cell(table.energy(t))) for t in InferenceTask)
+    assert csv_text(("task", "energy_wh"), rows) == raw
 
 
 def test_bundle_roundtrip_byte_exact():
+    # every field the reader keeps, written back in the file's own form
     raw = bundled_data_text("ai_co2_scenarios.json")
-    assert bundle_to_json_text(bundle_from_dict(json.loads(raw))) == raw
+    doc = {"trajectories": [
+        {"name": t.name, "family": t.family.value, "unit": t.series.unit.value,
+         "points": [list(p) for p in t.series.points], "provenance": t.provenance}
+        for t in bundle_from_dict(json.loads(raw)).trajectories]}
+    assert json.dumps(doc, indent=2) + "\n" == raw
 
 
 def test_series_csv_roundtrip():
-    text = "year,value\n2020,1.5\n2021,2\n2022,482.5\n"
-    assert series_to_csv_text(parse_series_csv_text(text, Unit.TWH)) == text
+    series = AnnualSeries(Unit.TWH, ((2020, 1.5), (2021, 2.0), (2022, 482.5)))
+    assert series_to_csv_text(series) == "year,value\n2020,1.5\n2021,2\n2022,482.5\n"
 
 
 # ---------------------------------------------------------------------------
 # Bundled scenario trajectories
 # ---------------------------------------------------------------------------
 
-def test_bundled_scenarios_align_and_cover_2020_2035():
+def test_bundled_scenarios_cover_2020_2035():
     bundle = bundled_ai_co2_bundle()
-    assert sorted(bundle.names()) == [
+    assert sorted(t.name for t in bundle.trajectories) == [
         "Abundance Without Boundaries",
         "Energy Crisis",
         "Limits To Growth",
         "Sustainable AI",
     ]
-    aligned = align_scenarios(list(bundle.trajectories))
-    groups = {t.name: t.alignment for t in aligned}
-    assert groups["Energy Crisis"] is AlignmentGroup.BASELINE_CRISIS
-    assert groups["Abundance Without Boundaries"] is AlignmentGroup.SURGE
     for t in bundle.trajectories:
         assert t.family is ScenarioFamily.AI_STUDY
         assert t.series.years == tuple(range(2020, 2036))
