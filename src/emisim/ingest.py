@@ -2,10 +2,13 @@
 
 File formats (UTF-8, decimal point, no thousands separators). A line ends
 at LF and nowhere else (a file read by :func:`read_text` has its CR and CRLF
-read as LF), and a line of whitespace only is blank:
+read as LF), and a line of whitespace only is blank. A CSV cell is the text
+between two commas, or a comma and a line's end, with its whitespace edges
+stripped; there is no quoting, so a ``"`` is an ordinary character:
 
 * series CSV, which ``emisim mean`` writes: header ``year,value``
 * driver CSV: header ``year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt``
+* inference-energy CSV: header ``task,energy_wh``, one row per task
 * bundle JSON: ``{"trajectories": [{"name", "family", "unit", "points",
   "provenance"}, ...]}``
 
@@ -16,8 +19,6 @@ the ``.json`` extension; where a bundle is accepted too, a JSON object with a
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -47,13 +48,6 @@ SERIES_HEADER = ("year", "value")
 #: 100 Mt CO2 equals the annual energy-use emissions of ~13.5 million
 #: American homes, i.e. 135 000 homes per Mt.
 HOMES_PER_MT_CO2 = 13.5e6 / 100.0
-
-
-def _fmt(value: float) -> str:
-    """Shortest exact decimal: integers without a point, floats via repr."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
 
 
 def csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
@@ -92,6 +86,21 @@ def _parse_float(cell: str, line: int, column: int, what: str) -> float:
     return value
 
 
+def _numbered_lines(text: str, first: int = 1) -> list[tuple[int, str]]:
+    """``(file line, line)`` for each non-blank line of ``text``, whose first
+    line is file line ``first``."""
+    return [(n, line) for n, line in enumerate(text.split("\n"), first) if line.strip()]
+
+
+def _cells(line: int, text: str, width: int) -> list[str]:
+    """The ``width`` stripped cells of the line ``text``, file line ``line``;
+    another cell count raises SchemaError."""
+    cells = text.split(",")
+    if len(cells) != width:
+        raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
+    return [cell.strip() for cell in cells]
+
+
 def _check_header(line: int, row: Sequence[str], expected: Sequence[str]) -> None:
     got = [cell.strip() for cell in row]
     if got != list(expected):
@@ -103,25 +112,18 @@ def _check_header(line: int, row: Sequence[str], expected: Sequence[str]) -> Non
 
 def _data_rows(text: str, header: Sequence[str]):
     """Yield ``(file line, stripped cells)`` for each data row of the CSV
-    ``text`` whose first non-blank row must be ``header``. Blank rows, empty
-    or one cell of whitespace, are skipped but counted, so the line numbers
-    are the file's. A row with another cell count, or no data row at all,
-    raises SchemaError."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
-    except csv.Error as exc:
-        raise SchemaError(reader.line_num, 1, f"malformed CSV: {exc}") from None
+    ``text`` whose first non-blank line must be ``header``. Blank lines are
+    skipped but counted, so the line numbers are the file's. A row with
+    another cell count, or no data row at all, raises SchemaError."""
+    rows = _numbered_lines(text)
     if not rows:
         raise SchemaError(1, 1, "no data rows")
     (header_line, first), rows = rows[0], rows[1:]
-    _check_header(header_line, first, header)
+    _check_header(header_line, first.split(","), header)
     if not rows:
         raise SchemaError(header_line + 1, 1, "no data rows")
     for line, row in rows:
-        if len(row) != len(header):
-            raise SchemaError(line, len(row), f"expected {len(header)} cells, got {len(row)}")
-        yield line, [cell.strip() for cell in row]
+        yield line, _cells(line, row, len(header))
 
 
 def parse_driver_csv_text(text: str) -> DriverTable:
@@ -192,7 +194,7 @@ def parse_bundle_or_driver_table(path: str | Path) -> ScenarioBundle | DriverTab
 
 
 def series_to_csv_text(series: AnnualSeries) -> str:
-    return csv_text(SERIES_HEADER, ((str(y), _fmt(v)) for y, v in series.points))
+    return csv_text(SERIES_HEADER, ((str(y), repr(v)) for y, v in series.points))
 
 
 # ---------------------------------------------------------------------------

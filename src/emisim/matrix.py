@@ -1,10 +1,11 @@
 """The realization-matrix CSV (UTF-8): a header of years, then one row per
 realization. A line ends at LF and nowhere else; a line of whitespace only
-is blank, skipped but counted, so the line numbers are the file's."""
+is blank, skipped but counted, so the line numbers are the file's. A cell is
+the text between commas with its whitespace edges stripped, with no quoting,
+as in every reader of :mod:`emisim.ingest`."""
 
 from __future__ import annotations
 
-from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -12,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SchemaError
-from .ingest import _parse_int, _plain_number, csv_text, read_text
+from .ingest import _cells, _numbered_lines, _parse_int, _plain_number, csv_text, read_text
 
 
 def read_matrix_csv(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:
@@ -52,24 +53,16 @@ def _next_line(text: str, start: int, line: int) -> tuple[str, int, int]:
 
 
 def _other_block_values(rows: list[tuple[int, str]], width: int) -> np.ndarray:
-    """``np.loadtxt``'s rows of the non-blank ``(file line, text)`` pairs of a
-    block not in the writer's form, if it reads each line as ``width`` numbers;
-    else the first line that is not, found line by line with the readers'
-    number rule (it accepts what loadtxt accepts), raises its SchemaError."""
-    with suppress(ValueError):
-        values = np.loadtxt([text for _, text in rows], delimiter=",", comments=None, ndmin=2)
-        if values.shape == (len(rows), width):
-            return values
+    """The rows of the non-blank ``(file line, text)`` pairs of a block not in
+    the writer's form, read line by line with the readers' number rule; the
+    first line that is not ``width`` numbers raises its SchemaError."""
     values = np.empty((len(rows), width))
     for row, (line, text) in zip(values, rows):
-        cells = text.split(",")
-        if len(cells) != width:
-            raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
-        for column, cell in enumerate(cells, 1):
+        for column, cell in enumerate(_cells(line, text, width), 1):
             try:
-                row[column - 1] = _plain_number(cell.strip(), float)
+                row[column - 1] = _plain_number(cell, float)
             except ValueError:
-                raise SchemaError(line, column, f"{cell.strip()!r} is not a number") from None
+                raise SchemaError(line, column, f"{cell!r} is not a number") from None
     return values
 
 
@@ -286,8 +279,8 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
     The text is read one block of about ``_MATRIX_BLOCK_CELLS`` cells at a
     time, ``row_chars`` characters a row, a slice that ends at a line feed,
     so that no copy of the whole text is made: a block in the writer's form
-    by :func:`_matrix_block_values`, any other by :func:`_other_block_values`
-    over its non-blank lines. A block ends just after a line feed, so that
+    by :func:`_matrix_block_values`, any other line by line by
+    :func:`_other_block_values`. A block ends just after a line feed, so that
     its lines are the file's.
     """
     step = max(1, _MATRIX_BLOCK_CELLS // width) * row_chars
@@ -300,12 +293,8 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
         start = end
         values = _matrix_block_values(block, width)
         if values is None:
-            lines = block.split("\n")
-            numbered = [(n, ln) for n, ln in enumerate(lines, line + 1) if ln.strip()]
-            line += len(lines) - 1  # the next block starts after the last line feed
-            if not numbered:
-                continue
-            values = _other_block_values(numbered, width)
+            values = _other_block_values(_numbered_lines(block, line + 1), width)
+            line += block.count("\n")  # the next block starts after the last line feed
         else:
             line += len(values)
         out[rows:rows + len(values)] = values

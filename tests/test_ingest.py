@@ -120,10 +120,6 @@ def test_value_range_violations_surface_from_validation():
         (parse_matrix_csv_text, "\n2020,2021\n1,2\n\n3\n4,5\n", 5, 1),
         (parse_matrix_csv_text, "\n2020,20x1\n1,2\n", 2, 2),
         (parse_matrix_csv_text, "\n2020,2021\n\n", 3, 1),
-        # the csv module's own errors: a bare CR inside a line, an oversized cell
-        (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,91\r,269,0.62,0.02,1.03\n", 3, 1),
-        (parse_inference_table_text, "task,energy_wh\ntext_generation,1\rsummarization,2\n", 2, 1),
-        (parse_inference_table_text, "task,energy_wh\n\n" + "x" * 131_073 + ",1\n", 3, 1),
         # a line of commas is no blank line
         (parse_driver_csv_text, DRIVER_HEADER + "\n \t\n,,,,,\n2020,91,269,0.62,0.02,1.03\n", 3, 1),
         # int() and float() read digit-group underscores and non-ASCII digits;
@@ -145,6 +141,67 @@ def test_parse_errors_count_blank_lines(parse, text, line, column):
     with pytest.raises(SchemaError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# each reader's text with one numeric cell left open, in column 2 of the
+# given file line, and a whole number that fills it validly
+_ONE_CELL_OPEN = {
+    "driver": (parse_driver_csv_text, DRIVER_HEADER + "\n\n2020,{},269,0.62,0.02,1.03\n", 3, "91"),
+    "inference-energy": (parse_inference_table_text,
+                         bundled_data_text("inference_energy.csv").replace(",63\n", ",{}\n"),
+                         6, "63"),
+    "matrix": (parse_matrix_csv_text, "2020,2021,2022\n1.5,2.5,3.5\n \n4.5,{},6.5\n", 4, "55"),
+}
+_LONG = 131_073  # one over the csv module's default field size limit
+
+
+def _parsed(parse, text):
+    """What ``parse`` reads from ``text``, a matrix as its years and bytes."""
+    out = parse(text)
+    return (out[0], out[1].tobytes()) if parse is parse_matrix_csv_text else out
+
+
+@pytest.mark.parametrize("reader", list(_ONE_CELL_OPEN))
+@pytest.mark.parametrize(
+    "cell,error",
+    [
+        # no quoting: a quote is part of the cell, which is then no number
+        ('"{}"', "is not a number"),
+        ('"{}', "is not a number"),
+        # a CR is no line break, and sheds at a cell's edge as a space does
+        ("{}\r", None),
+        ("\r {}\r\r", None),
+        ("{}\r5", "is not a number"),
+        # no field limit: a cell of any length is read by its content
+        ("{}".ljust(_LONG, "x"), "is not a number"),
+        ("x" * _LONG, "is not a number"),
+        ("{}.".ljust(_LONG, "0"), None),
+    ],
+    ids=["quoted", "open-quote", "cr-after", "cr-around", "cr-inside", "long-bad-tail",
+         "long-letters", "long-zeros"],
+)
+def test_readers_share_one_cell_rule(reader, cell, error):
+    parse, text, line, valid = _ONE_CELL_OPEN[reader]
+    cell = cell.format(valid)
+    changed = text.format(cell)
+    if error is None:
+        assert _parsed(parse, changed) == _parsed(parse, text.format(valid))
+        return
+    with pytest.raises(SchemaError) as exc:
+        parse(changed)
+    assert (exc.value.line, exc.value.column) == (line, 2)
+    assert exc.value.reason.endswith(f"{cell.strip()!r} {error}")
+
+
+@pytest.mark.parametrize("reader", list(_ONE_CELL_OPEN))
+def test_readers_take_no_quoted_header(reader):
+    parse, text, _, valid = _ONE_CELL_OPEN[reader]
+    header, rest = text.format(valid).split("\n", 1)
+    first = header.split(",")[0]
+    with pytest.raises(SchemaError) as exc:
+        parse(f'"{first}"{header[len(first):]}\n{rest}')
+    assert (exc.value.line, exc.value.column) == (1, 1)
+    assert f"'\"{first}\"'" in exc.value.reason
 
 
 _TEXT_PARSERS = [
@@ -426,9 +483,9 @@ _NUMBER_CELLS = st.from_regex(
 @example(["\x001"], 1)
 @example(["1", " "], 2)  # a blank cell
 def test_loadtxt_accepts_the_cells_the_readers_number_rule_accepts(cells, width):
-    # the matrix reader reads a block of other lines with np.loadtxt, and its
-    # lines one at a time with _plain_number where loadtxt rejects the block:
-    # both must accept the same lines and read the same values
+    # the matrix reader reads each line of a block of other lines with
+    # _plain_number, its reference _loadtxt_matrix with np.loadtxt: both
+    # must accept the same lines and read the same values
     line = ",".join(cells)
     assume(line.strip())  # the reader passes no blank line, and loadtxt warns on one
     try:
@@ -490,7 +547,7 @@ def test_matrix_reader_takes_each_path():
         cell for cell, path in cells.items() if not any(path)]
 
 
-def test_matrix_reader_reads_a_block_of_other_lines_with_loadtxt():
+def test_matrix_reader_reads_a_block_of_other_lines_line_by_line():
     rng = np.random.default_rng(3)
     matrix = rng.lognormal(4.0, 1.0, (20_000, 4))
     text = matrix_csv_text(range(2020, 2024), matrix)
@@ -499,9 +556,10 @@ def test_matrix_reader_reads_a_block_of_other_lines_with_loadtxt():
     text = text[:middle] + "nan,-1e3,0.5,2.0\n \n1.5,2.5,3.5,4.5\n" + text[middle:]
     with (mock.patch.object(matrix_module, "_matrix_block_values",
                             wraps=matrix_module._matrix_block_values) as blocks,
-          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+          mock.patch.object(matrix_module, "_other_block_values",
+                            wraps=matrix_module._other_block_values) as other):
         years, parsed = parse_matrix_csv_text(text)
-    assert blocks.call_count >= 8 and loadtxt.call_count == 1
+    assert blocks.call_count >= 8 and other.call_count == 1
     assert parsed.tobytes() == _loadtxt_matrix(text)[1].tobytes()
     row = text[:middle].count("\n") - 1
     assert np.array_equal(parsed[row:row + 2], [[np.nan, -1e3, 0.5, 2.0], [1.5, 2.5, 3.5, 4.5]],
@@ -546,13 +604,16 @@ def test_matrix_reader_raises_an_early_error_within_one_block():
     second = text.index("\n") + 1
     with (mock.patch.object(matrix_module, "_matrix_block_values",
                             wraps=matrix_module._matrix_block_values) as blocks,
-          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+          mock.patch.object(matrix_module, "_other_block_values",
+                            wraps=matrix_module._other_block_values) as other,
           pytest.raises(SchemaError) as exc):
         parse_matrix_csv_text(text[:second] + "x" + text[second + 1:])
-    assert (exc.value.line, exc.value.column, blocks.call_count) == (2, 1, 1)
-    # the search reads the lines of that block alone
+    assert (exc.value.line, exc.value.column, blocks.call_count, other.call_count) == (2, 1, 1, 1)
+    # the search reads the lines of that block alone: those that start in its
+    # first block_rows first-row lengths of text
     block_rows = matrix_module._MATRIX_BLOCK_CELLS // matrix.shape[1]
-    assert sum(len(call.args[0]) for call in loadtxt.call_args_list) <= 4 * block_rows
+    step = block_rows * (text.index("\n", second) + 1 - second)
+    assert len(other.call_args.args[0]) <= text.count("\n", second, second + step - 1) + 1
 
 
 def test_matrix_blocks_are_sized_from_the_first_data_row():
@@ -669,7 +730,7 @@ def test_bundle_roundtrip_byte_exact():
 
 def test_series_csv_roundtrip():
     series = AnnualSeries(Unit.TWH, ((2020, 1.5), (2021, 2.0), (2022, 482.5)))
-    assert series_to_csv_text(series) == "year,value\n2020,1.5\n2021,2\n2022,482.5\n"
+    assert series_to_csv_text(series) == "year,value\n2020,1.5\n2021,2.0\n2022,482.5\n"
 
 
 # ---------------------------------------------------------------------------
