@@ -294,10 +294,13 @@ def run_simulation(
     variables the model reads (``READ_VARIABLES`` of its kind) get a driver
     array; ``predict_grid`` gets ``None`` for the others, whose out-of-bounds
     draws are counted from a block-sized temporary. Each slot's smallest and
-    largest normal tell whether a block holds such a draw. Besides the
-    driver arrays and the model's output, only the kernel's two block-sized
-    buffers are held, and they are freed before the predict. ``workers`` is
-    kept for compatibility; neither the output nor the speed depends on it.
+    largest normal tell whether a block holds such a draw. The model writes
+    its output over the first driver array it reads, passed as
+    ``predict_grid``'s sixth positional parameter ``out`` so that a wrapper
+    forwarding ``*args`` keeps it; that array is the result matrix. Besides
+    the driver arrays, only the kernel's two block-sized buffers are held,
+    and they are freed before the predict. ``workers`` is kept for
+    compatibility; neither the output nor the speed depends on it.
     """
     if model is None:
         model = fit_model(table, config.model_kind)
@@ -309,10 +312,11 @@ def run_simulation(
     # the model reads the variables from `skip` on; the ones before it are
     # drawn and their clamped draws counted, but no plane holds them
     skip = n_vars - len(READ_VARIABLES[model.kind])
-    # (variable, year, realization): each driver is a column-major
-    # (realizations x years) view, which keeps numpy's inner loops long
-    # when z has one column, and a block of rows is one slice for all of them
-    drivers = np.empty((n_vars - skip, n_years, n))
+    # each driver is a column-major (realizations x years) view of a
+    # (year, realization) plane, which keeps numpy's inner loops long when z
+    # has one column. Two allocations: the first plane the model reads, which
+    # the model overwrites with its output, and a block of the others
+    planes = (np.empty((n_years, n)), *np.empty((n_vars - skip - 1, n_years, n)))
     step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
     kernel = _NormalKernel(config.master_seed, n_slots, min(step, n))
     sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
@@ -323,24 +327,27 @@ def run_simulation(
         # per-year mode has one slot per (variable, year), per-variable mode
         # one per variable, which the multiply broadcasts over the years
         z = kernel.fill(lo, hi - lo).reshape(n_vars, -1, hi - lo)
-        raw = drivers[:, :, lo:hi]
-        np.multiply(z[skip:], sigma[skip:], out=raw)
-        raw += mean[skip:]
+        for k, plane in enumerate(planes, skip):
+            raw = plane[:, lo:hi]
+            np.multiply(z[k], sigma[k], out=raw)
+            raw += mean[k]
         # sigma >= 0 is finite and rounding is monotone, so each slot's
         # extreme normals give its draws' exact extremes, overflow included
         low = z.min(axis=2, keepdims=True) * sigma + mean
         high = z.max(axis=2, keepdims=True) * sigma + mean
-        out = ((low < lower) | (high > upper)).any(axis=(1, 2))
-        if out.any():
-            for k in np.flatnonzero(out):
-                draws = raw[k - skip] if k >= skip else z[k] * sigma[k] + mean[k]
-                clamped += int(np.count_nonzero(draws < lower[k]))
-                clamped += int(np.count_nonzero(draws > upper[k]))
-            np.clip(raw, lower[skip:], upper[skip:], out=raw)
-    del kernel, z  # freed before the model's output adds to the peak
-    matrix = model.predict_grid(perturbation.years, *[None] * skip,
-                                *(driver.T for driver in drivers))
-    del drivers, raw  # freed before EnsembleResult's checks add their temporaries to the peak
+        outside = ((low < lower) | (high > upper)).any(axis=(1, 2))
+        for k in np.flatnonzero(outside):
+            draws = planes[k - skip][:, lo:hi] if k >= skip else z[k] * sigma[k] + mean[k]
+            clamped += int(np.count_nonzero(draws < lower[k]))
+            clamped += int(np.count_nonzero(draws > upper[k]))
+            if k >= skip:
+                np.clip(draws, lower[k], upper[k], out=draws)
+    del kernel, z  # freed before the predict's temporaries add to the peak
+    drivers = [plane.T for plane in planes]
+    matrix = model.predict_grid(perturbation.years, *[None] * skip, *drivers, drivers[0])
+    # the other planes are freed before EnsembleResult's checks add their
+    # temporaries to the peak; `raw` and `draws` may be views of them
+    planes = drivers = raw = draws = None
     pred_clamped = (
         int(np.count_nonzero(matrix == 0.0)) if model.kind is ModelKind.LINEAR_REGRESSION else 0
     )

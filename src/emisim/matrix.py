@@ -6,6 +6,7 @@ as in every reader of :mod:`emisim.ingest`."""
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -25,9 +26,9 @@ def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     """Years and realization rows of a matrix CSV: a header of strictly
     increasing years, then one row of numbers per realization; lines of
     whitespace only are skipped. Every cell reads as ``float`` reads it:
-    the correctly rounded double (see :func:`_matrix_body`). The first
-    error raises: no data rows, then the header, then the first bad line of
-    the body."""
+    the correctly rounded double (see :func:`_matrix_body`), which must be
+    finite. The first error raises: no data rows, then the header, then the
+    first bad line of the body."""
     header, line, start = _next_line(text, 0, 0)
     row, row_line, row_start = _next_line(text, start + len(header), line)
     if not row:
@@ -55,14 +56,18 @@ def _next_line(text: str, start: int, line: int) -> tuple[str, int, int]:
 def _other_block_values(rows: list[tuple[int, str]], width: int) -> np.ndarray:
     """The rows of the non-blank ``(file line, text)`` pairs of a block not in
     the writer's form, read line by line with the readers' number rule; the
-    first line that is not ``width`` numbers raises its SchemaError."""
+    first line that is not ``width`` finite numbers raises its SchemaError.
+    (A writer-form cell has at most 19 digits, so it is always finite.)"""
     values = np.empty((len(rows), width))
     for row, (line, text) in zip(values, rows):
         for column, cell in enumerate(_cells(line, text, width), 1):
             try:
-                row[column - 1] = _plain_number(cell, float)
+                value = _plain_number(cell, float)
             except ValueError:
                 raise SchemaError(line, column, f"{cell!r} is not a number") from None
+            if not math.isfinite(value):
+                raise SchemaError(line, column, f"{cell!r} is not finite")
+            row[column - 1] = value
     return values
 
 

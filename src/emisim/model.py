@@ -50,13 +50,19 @@ class ImpliedIntensityModel:
                 f"year {year} outside fitted range {self.years[0]}-{self.years[-1]}"
             ) from None
 
-    def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
+    def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share, out=None):
         """Vectorized prediction; driver arrays have years on the last axis.
-        ``semis_twh`` is not read and may be ``None``."""
+        ``semis_twh`` is not read and may be ``None``.
+
+        ``out``, if given, is a float array of the output's shape that
+        receives the prediction and is returned; it may be ``dc_twh`` itself,
+        since each cell of ``dc_twh`` is read before it is overwritten, but
+        no other driver. It is the sixth positional parameter, so a wrapper
+        that forwards ``*args`` passes it on."""
         kappa_row = np.array([self.kappa_at(int(y)) for y in years])
         # one output array, multiplied in place in the order kappa * dc * ai * mix,
         # which fixes the bytes
-        values = np.multiply(dc_twh, kappa_row)
+        values = np.multiply(dc_twh, kappa_row, out=out)
         values *= ai_share
         values *= mix_factor
         return np.maximum(values, 0.0, out=values)
@@ -94,12 +100,19 @@ class LinearRegressionModel:
         if not all(np.isfinite(stats)):
             raise ValueError("non-finite fit diagnostics")
 
-    def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share):
+    def predict_grid(self, years, semis_twh, dc_twh, mix_factor, ai_share, out=None):
+        """Vectorized prediction; driver arrays have years on the last axis.
+
+        ``out``, if given, is a float array of the output's shape that
+        receives the prediction and is returned; it may be ``semis_twh``
+        itself, since each cell of ``semis_twh`` is read before it is
+        overwritten, but no other driver. It is the sixth positional
+        parameter, so a wrapper that forwards ``*args`` passes it on."""
         b0, b1, b2, b3, b4 = self.coefficients
         # one output array, to which each term is added one year column at a
         # time, so no term is held at full size; each cell is summed left to
         # right, which fixes the bytes: b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai
-        values = np.multiply(semis_twh, b1)
+        values = np.multiply(semis_twh, b1, out=out)
         values += b0
         for x, b in ((dc_twh, b2), (mix_factor, b3), (ai_share, b4)):
             x = np.broadcast_to(x, values.shape)

@@ -636,21 +636,49 @@ def test_clamped_draws_count_every_variable(table, mode, kind, halfwidths):
     assert run_simulation(table, cfg).clamped_draws == np.count_nonzero(out)
 
 
+class _ArgsModel:
+    """A model with only ``kind`` and a ``predict_grid(*args)`` that
+    forwards its arguments, as a benchmark's timing wrapper has."""
+
+    def __init__(self, model):
+        self.model = model
+        self.kind = model.kind
+        self.calls = []
+
+    def predict_grid(self, *args):
+        self.calls.append((args, self.model.predict_grid(*args)))
+        return self.calls[-1][1]
+
+
+@pytest.mark.parametrize("mode", list(CorrelationMode))
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_run_simulation_predicts_once_into_the_result_matrix(table, kind, mode):
+    cfg = SimulationConfig(realizations=300, master_seed=3, model_kind=kind, correlation_mode=mode)
+    wrapper = _ArgsModel(fit_model(table, kind))
+    result = run_simulation(table, cfg, model=wrapper)
+    [(args, returned)] = wrapper.calls
+    # the output is written into the array passed as the sixth argument, `out`
+    assert returned is result.matrix and len(args) == 6 and args[5] is returned
+    assert result.matrix.size == 300 * len(table)
+    assert result.matrix.tobytes() == run_simulation(table, cfg).matrix.tobytes()
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_run_simulation_peak_memory_is_bounded(table, kind):
     # the driver arrays the model reads (three for the intensity model, four
-    # for the regression) plus the model's output, and one year column of a
-    # regression term; the normals are drawn one block of rows at a time
-    cfg = SimulationConfig(realizations=50_000, master_seed=7, model_kind=kind,
-                           correlation_mode=CorrelationMode.INDEPENDENT_PER_YEAR)
-    tracemalloc.start()
-    try:
-        result = run_simulation(table, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = {ModelKind.IMPLIED_INTENSITY: 4.05, ModelKind.LINEAR_REGRESSION: 5.10}[kind]
-    assert peak <= bound * result.matrix.nbytes
+    # for the regression), the first of which the model overwrites with its
+    # output, and the kernel's two buffers while a block of rows is drawn
+    bound = {ModelKind.IMPLIED_INTENSITY: 3.30, ModelKind.LINEAR_REGRESSION: 4.30}[kind]
+    for mode in CorrelationMode:
+        cfg = SimulationConfig(realizations=50_000, master_seed=7, model_kind=kind,
+                               correlation_mode=mode)
+        tracemalloc.start()
+        try:
+            result = run_simulation(table, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * result.matrix.nbytes, mode
 
 
 def test_single_deterministic_realization_is_observed_column(table):

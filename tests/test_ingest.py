@@ -135,6 +135,10 @@ def test_value_range_violations_surface_from_validation():
         (parse_matrix_csv_text, "\n2020,\u0662\u0660\u0662\u0661\n1,2\n", 2, 2),
         (parse_matrix_csv_text, "2020,2021\n1_5,2\n", 2, 1),
         (parse_matrix_csv_text, "2020,2021\n1,\u0662\n", 2, 2),
+        # a matrix cell is finite, as a driver value is; over 19 digits is
+        # not the writer's form, so the line-by-line reader sees that cell too
+        *((parse_matrix_csv_text, f"2020,2021\n1.5,2.5\n\n3.5,{cell}\n", 4, 2)
+          for cell in ("nan", "-nan", "inf", "-Infinity", "1e999", "9" * 400 + ".5")),
     ],
 )
 def test_parse_errors_count_blank_lines(parse, text, line, column):
@@ -364,9 +368,10 @@ def test_matrix_writer_falls_back_to_repr_where_it_cannot_certify():
 
 def _loadtxt_matrix(text):
     """The matrix CSV reader before it read in blocks, the reader's reference:
-    np.loadtxt over the non-blank lines, each ended by LF alone. Where that fails, the error is
-    searched for one line at a time and, in a line of the right width, one
-    cell at a time: "no data rows" first, then the header, then the body."""
+    np.loadtxt over the non-blank lines, each ended by LF alone, with no cell
+    that is not finite. Where that fails, the error is searched for one line
+    at a time and, in a line of the right width, one cell at a time: "no data
+    rows" first, then the header, then the body."""
     rows = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if len(rows) < 2:
         raise SchemaError(rows[0][0] + 1 if rows else 1, 1, "no data rows")
@@ -382,7 +387,7 @@ def _loadtxt_matrix(text):
     width = len(years)
     try:
         matrix = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
-        if matrix.shape[1] == width:
+        if matrix.shape[1] == width and np.isfinite(matrix).all():
             return tuple(years), matrix
     except ValueError:
         pass
@@ -392,12 +397,13 @@ def _loadtxt_matrix(text):
             raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
         for column, cell in enumerate(cells, start=1):
             try:
-                if cell.strip():
-                    np.loadtxt([cell], delimiter=",", comments=None)
-                    continue
+                value = np.loadtxt([cell], delimiter=",", comments=None) if cell.strip() else None
             except ValueError:
-                pass
-            raise SchemaError(line, column, f"{cell.strip()!r} is not a number")
+                value = None
+            if value is None:
+                raise SchemaError(line, column, f"{cell.strip()!r} is not a number")
+            if not np.isfinite(value):
+                raise SchemaError(line, column, f"{cell.strip()!r} is not finite")
     raise AssertionError("np.loadtxt read every line alone but not all of them together")
 
 
@@ -551,9 +557,9 @@ def test_matrix_reader_reads_a_block_of_other_lines_line_by_line():
     rng = np.random.default_rng(3)
     matrix = rng.lognormal(4.0, 1.0, (20_000, 4))
     text = matrix_csv_text(range(2020, 2024), matrix)
-    # nan, an exponent and a line of whitespace in the middle of the file
+    # a sign, an exponent and a line of whitespace in the middle of the file
     middle = text.index("\n", len(text) // 2) + 1
-    text = text[:middle] + "nan,-1e3,0.5,2.0\n \n1.5,2.5,3.5,4.5\n" + text[middle:]
+    text = text[:middle] + "+7,-1e3,0.5,2.0\n \n1.5,2.5,3.5,4.5\n" + text[middle:]
     with (mock.patch.object(matrix_module, "_matrix_block_values",
                             wraps=matrix_module._matrix_block_values) as blocks,
           mock.patch.object(matrix_module, "_other_block_values",
@@ -562,8 +568,7 @@ def test_matrix_reader_reads_a_block_of_other_lines_line_by_line():
     assert blocks.call_count >= 8 and other.call_count == 1
     assert parsed.tobytes() == _loadtxt_matrix(text)[1].tobytes()
     row = text[:middle].count("\n") - 1
-    assert np.array_equal(parsed[row:row + 2], [[np.nan, -1e3, 0.5, 2.0], [1.5, 2.5, 3.5, 4.5]],
-                          equal_nan=True)
+    assert np.array_equal(parsed[row:row + 2], [[7.0, -1e3, 0.5, 2.0], [1.5, 2.5, 3.5, 4.5]])
 
 
 def _large_matrix_text():

@@ -12,6 +12,7 @@ from emisim.errors import (
 )
 from emisim.ingest import bundled_driver_table
 from emisim.model import (
+    READ_VARIABLES,
     fit_implied_intensity,
     fit_linear_regression,
     model_to_json,
@@ -112,17 +113,41 @@ def test_predict_grid_keeps_inputs_and_accepts_lists(table, fit):
     got = model.predict_grid(table.years, *drivers)
     assert all(np.array_equal(d, b) for d, b in zip(drivers, before))
     # the grid computes in the order of the textbook formula, bit for bit
-    semis, dc, mix, ai = before
-    if model.kind is ModelKind.IMPLIED_INTENSITY:
-        kappa = np.array(model.kappa.values)
-        expected = np.maximum(kappa * dc * ai * mix, 0.0)
-    else:
-        b0, b1, b2, b3, b4 = model.coefficients
-        expected = np.maximum(b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai, 0.0)
-    assert got.tobytes() == expected.tobytes()
+    assert got.tobytes() == _textbook_grid(model, *before).tobytes()
     assert np.any(got == 0.0) == (model.kind is ModelKind.LINEAR_REGRESSION)
     as_lists = model.predict_grid(table.years, *(d[3].tolist() for d in drivers))
     assert as_lists.tobytes() == got[3].tobytes()
+
+
+def _textbook_grid(model, semis, dc, mix, ai):
+    if model.kind is ModelKind.IMPLIED_INTENSITY:
+        kappa = np.array(model.kappa.values)
+        return np.maximum(kappa * dc * ai * mix, 0.0)
+    b0, b1, b2, b3, b4 = model.coefficients
+    return np.maximum(b0 + b1 * semis + b2 * dc + b3 * mix + b4 * ai, 0.0)
+
+
+@pytest.mark.parametrize("target", ["first read driver", "separate", None])
+@pytest.mark.parametrize("fit", [fit_implied_intensity, fit_linear_regression])
+def test_predict_grid_out(table, fit, target):
+    # `out` is the sixth positional parameter: the prediction is written
+    # there, even over the first driver the model reads, with unchanged bytes
+    model = fit(table)
+    rng = np.random.default_rng(6)
+    means = np.array([table.column(v) for v in DRIVER_VARIABLES])
+    drivers = [np.asfortranarray(m * rng.uniform(0.0, 2.0, (40, len(table)))) for m in means]
+    before = [d.copy() for d in drivers]
+    first = DRIVER_VARIABLES.index(READ_VARIABLES[model.kind][0])
+    out = {"first read driver": drivers[first],
+           "separate": np.empty((40, len(table)), order="F"),
+           None: None}[target]
+    got = model.predict_grid(table.years, *drivers, out)
+    assert got.tobytes() == _textbook_grid(model, *before).tobytes()
+    assert got.flags.f_contiguous
+    if out is not None:
+        assert got is out
+    kept = [k for k in range(4) if not (target == "first read driver" and k == first)]
+    assert all(np.array_equal(drivers[k], before[k]) for k in kept)
 
 
 def test_year_outside_fit(table):
