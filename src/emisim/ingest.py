@@ -4,7 +4,12 @@ File formats (UTF-8, decimal point, no thousands separators). A line ends
 at LF and nowhere else (a file read by :func:`read_text` has its CR and CRLF
 read as LF), and a line of whitespace only is blank. A CSV cell is the text
 between two commas, or a comma and a line's end, with its whitespace edges
-stripped; there is no quoting, so a ``"`` is an ordinary character:
+stripped; there is no quoting, so a ``"`` is an ordinary character. A number
+is a cell that ``int`` or ``float`` reads, in ASCII and without digit-group
+underscores, and a ``float`` must be finite. Each rule has one home, which
+every CSV reader, the matrix reader of :mod:`emisim.matrix` included, calls:
+the line rule :func:`_numbered_lines`, the cell rule :func:`_cells` and the
+number rule :func:`_parse_float`. The formats:
 
 * series CSV, which ``emisim mean`` writes: header ``year,value``
 * driver CSV: header ``year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt``
@@ -76,54 +81,63 @@ def _parse_int(cell: str, line: int, column: int, what: str) -> int:
         raise SchemaError(line, column, f"{what} {cell!r} is not an integer") from None
 
 
-def _parse_float(cell: str, line: int, column: int, what: str) -> float:
+def _parse_float(cell: str, line: int, column: int, what: str = "") -> float:
     try:
         value = _plain_number(cell, float)
     except ValueError:
-        raise SchemaError(line, column, f"{what} {cell!r} is not a number") from None
+        raise SchemaError(line, column, f"{what} {cell!r} is not a number".lstrip()) from None
     if not math.isfinite(value):
-        raise SchemaError(line, column, f"{what} {cell!r} is not finite")
+        raise SchemaError(line, column, f"{what} {cell!r} is not finite".lstrip())
     return value
 
 
-def _numbered_lines(text: str, first: int = 1) -> list[tuple[int, str]]:
-    """``(file line, line)`` for each non-blank line of ``text``, whose first
-    line is file line ``first``."""
-    return [(n, line) for n, line in enumerate(text.split("\n"), first) if line.strip()]
+def _numbered_lines(text: str, line: int = 1):
+    """Yield ``(file line, line, offset)`` for each non-blank line of
+    ``text``, whose first line is file line ``line``; the line is yielded
+    without its line feed."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        row = text[start:end]
+        if row.strip():
+            yield line, row, start
+        line += 1
+        start = end + 1
 
 
-def _cells(line: int, text: str, width: int) -> list[str]:
-    """The ``width`` stripped cells of the line ``text``, file line ``line``;
-    another cell count raises SchemaError."""
+def _cells(line: int, text: str, width: int | None = None) -> list[str]:
+    """The stripped cells of the line ``text``, file line ``line``; a
+    ``width`` other than their count raises SchemaError."""
     cells = text.split(",")
-    if len(cells) != width:
+    if width is not None and len(cells) != width:
         raise SchemaError(line, len(cells), f"expected {width} cells, got {len(cells)}")
     return [cell.strip() for cell in cells]
-
-
-def _check_header(line: int, row: Sequence[str], expected: Sequence[str]) -> None:
-    got = [cell.strip() for cell in row]
-    if got != list(expected):
-        for i, (g, e) in enumerate(zip(got, expected), start=1):
-            if g != e:
-                raise SchemaError(line, i, f"expected header {e!r}, got {g!r}")
-        raise SchemaError(line, len(expected), f"expected {len(expected)} columns, got {len(got)}")
 
 
 def _data_rows(text: str, header: Sequence[str]):
     """Yield ``(file line, stripped cells)`` for each data row of the CSV
     ``text`` whose first non-blank line must be ``header``. Blank lines are
-    skipped but counted, so the line numbers are the file's. A row with
-    another cell count, or no data row at all, raises SchemaError."""
-    rows = _numbered_lines(text)
-    if not rows:
+    skipped but counted, so the line numbers are the file's. A header cell
+    or count that differs, then a row with another cell count, or no data
+    row at all, raises SchemaError."""
+    lines = _numbered_lines(text)
+    header_line, first, _ = next(lines, (0, "", 0))
+    if not first:
         raise SchemaError(1, 1, "no data rows")
-    (header_line, first), rows = rows[0], rows[1:]
-    _check_header(header_line, first.split(","), header)
-    if not rows:
-        raise SchemaError(header_line + 1, 1, "no data rows")
-    for line, row in rows:
+    got = _cells(header_line, first)
+    for column, (g, e) in enumerate(zip(got, header), start=1):
+        if g != e:
+            raise SchemaError(header_line, column, f"expected header {e!r}, got {g!r}")
+    if len(got) != len(header):
+        raise SchemaError(header_line, len(header),
+                          f"expected {len(header)} columns, got {len(got)}")
+    line = header_line
+    for line, row, _ in lines:
         yield line, _cells(line, row, len(header))
+    if line == header_line:
+        raise SchemaError(header_line + 1, 1, "no data rows")
 
 
 def parse_driver_csv_text(text: str) -> DriverTable:

@@ -1,12 +1,12 @@
 """The realization-matrix CSV (UTF-8): a header of years, then one row per
-realization. A line ends at LF and nowhere else; a line of whitespace only
-is blank, skipped but counted, so the line numbers are the file's. A cell is
-the text between commas with its whitespace edges stripped, with no quoting,
-as in every reader of :mod:`emisim.ingest`."""
+realization. It is read with the line, cell and number rules of every
+reader of :mod:`emisim.ingest`, by calling their one home there:
+:func:`~emisim.ingest._numbered_lines`, :func:`~emisim.ingest._cells` and
+:func:`~emisim.ingest._parse_float`. A block of rows in the writer's form is
+read faster, by :func:`_matrix_block_values`, to the same doubles."""
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SchemaError
-from .ingest import _cells, _numbered_lines, _parse_int, _plain_number, csv_text, read_text
+from .ingest import _cells, _numbered_lines, _parse_float, _parse_int, csv_text, read_text
 
 
 def read_matrix_csv(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:
@@ -29,46 +29,28 @@ def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     the correctly rounded double (see :func:`_matrix_body`), which must be
     finite. The first error raises: no data rows, then the header, then the
     first bad line of the body."""
-    header, line, start = _next_line(text, 0, 0)
-    row, row_line, row_start = _next_line(text, start + len(header), line)
+    lines = _numbered_lines(text)
+    line, header, _ = next(lines, (0, "", 0))
+    row_line, row, row_start = next(lines, (0, "", 0))
     if not row:
-        raise SchemaError(line + 1 if header else 1, 1, "no data rows")
-    years = [_parse_int(c.strip(), line, i, "year") for i, c in enumerate(header.split(","), 1)]
+        raise SchemaError(line + 1, 1, "no data rows")
+    years = [_parse_int(c, line, i, "year") for i, c in enumerate(_cells(line, header), 1)]
     for column, (before, year) in enumerate(zip(years, years[1:]), 2):
         if year <= before:
             raise SchemaError(line, column, f"years not strictly increasing at {year}")
-    return tuple(years), _matrix_body(text, row_start, row_line - 1, len(row), len(years))
+    return tuple(years), _matrix_body(text, row_start, row_line, len(row) + 1, len(years))
 
 
-def _next_line(text: str, start: int, line: int) -> tuple[str, int, int]:
-    """The first non-blank line of ``text`` from offset ``start`` on, the
-    start of file line ``line + 1``: the line with its line feed, its file
-    line and its offset; ``("", line, len(text))`` if there is none."""
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        line += 1
-        if text[start:end].strip():
-            return text[start:end], line, start
-        start = end
-    return "", line, start
-
-
-def _other_block_values(rows: list[tuple[int, str]], width: int) -> np.ndarray:
-    """The rows of the non-blank ``(file line, text)`` pairs of a block not in
-    the writer's form, read line by line with the readers' number rule; the
-    first line that is not ``width`` finite numbers raises its SchemaError.
-    (A writer-form cell has at most 19 digits, so it is always finite.)"""
-    values = np.empty((len(rows), width))
-    for row, (line, text) in zip(values, rows):
-        for column, cell in enumerate(_cells(line, text, width), 1):
-            try:
-                value = _plain_number(cell, float)
-            except ValueError:
-                raise SchemaError(line, column, f"{cell!r} is not a number") from None
-            if not math.isfinite(value):
-                raise SchemaError(line, column, f"{cell!r} is not finite")
-            row[column - 1] = value
-    return values
+def _other_block_values(rows: list[tuple[int, str, int]], width: int) -> np.ndarray:
+    """The rows of the non-blank lines of a block not in the writer's form,
+    given as :func:`~emisim.ingest._numbered_lines` yields them, read line by
+    line with the readers' number rule; the first line that is not ``width``
+    finite numbers raises its SchemaError. (A writer-form cell has at most
+    19 digits, so it is always finite.)"""
+    values = (_parse_float(cell, line, column)
+              for line, text, _ in rows
+              for column, cell in enumerate(_cells(line, text, width), 1))
+    return np.fromiter(values, float, len(rows) * width).reshape(len(rows), width)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +260,7 @@ def _closest_shortest(a: np.ndarray, r: np.ndarray, h_whole: np.ndarray,
 
 def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -> np.ndarray:
     """The rows of ``width`` numbers in the matrix CSV ``text`` from offset
-    ``start``, the start of file line ``line + 1``, on. A line that is not
+    ``start``, the start of file line ``line``, on. A line that is not
     ``width`` numbers raises its SchemaError.
 
     The text is read one block of about ``_MATRIX_BLOCK_CELLS`` cells at a
@@ -286,7 +268,7 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
     so that no copy of the whole text is made: a block in the writer's form
     by :func:`_matrix_block_values`, any other line by line by
     :func:`_other_block_values`. A block ends just after a line feed, so that
-    its lines are the file's.
+    its lines are the file's; a writer-form block has one row per line feed.
     """
     step = max(1, _MATRIX_BLOCK_CELLS // width) * row_chars
     # one row at most per line: the line feeds, and a last line without one
@@ -298,10 +280,8 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
         start = end
         values = _matrix_block_values(block, width)
         if values is None:
-            values = _other_block_values(_numbered_lines(block, line + 1), width)
-            line += block.count("\n")  # the next block starts after the last line feed
-        else:
-            line += len(values)
+            values = _other_block_values(list(_numbered_lines(block, line)), width)
+        line += block.count("\n")  # the next block starts after the last line feed
         out[rows:rows + len(values)] = values
         rows += len(values)
     # no view of ``out`` is left, so it can shrink in place

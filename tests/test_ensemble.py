@@ -27,6 +27,7 @@ from emisim.core import (
 from emisim import ensemble
 from emisim.ensemble import (
     EnsembleResult,
+    PercentileBands,
     bands,
     bands_from_matrix,
     build_perturbations,
@@ -110,6 +111,8 @@ def test_invalid_level():
 def test_negative_halfwidth_rejected():
     with pytest.raises(ValueError):
         ci_to_sigma(-1.0, 0.99)
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        sigma_to_ci(-1.0, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +775,10 @@ def test_ensemble_result_validates_matrix(table):
         with pytest.raises(ValueError, match="non-finite emission values"):
             EnsembleResult(bad, table.years, cfg, 0, 0)
     assert EnsembleResult(np.full((2, 16), -0.0), table.years, cfg, 0, 0).matrix.shape == (2, 16)
+    # a matrix of another shape than realizations x years
+    for shape in ((3, 16), (2, 15)):
+        with pytest.raises(ValueError, match="matrix shape does not match"):
+            EnsembleResult(np.ones(shape), table.years, cfg, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +843,11 @@ def test_bands_monotone_across_percentiles(table):
     b = bands(result)
     for year in table.years:
         assert b.value(year, 5.0) <= b.value(year, 50.0) <= b.value(year, 95.0)
+
+
+def test_percentile_bands_reject_decreasing_levels():
+    with pytest.raises(ValueError, match="non-decreasing in percentile"):
+        PercentileBands((2020,), (5.0, 50.0), np.array([[2.0, 1.0]]), np.array([1.5]))
 
 
 def test_bands_monotone_on_random_ensembles():

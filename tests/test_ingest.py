@@ -20,6 +20,7 @@ from emisim.errors import (
     UnknownTaskError,
 )
 from emisim.ingest import (
+    InferenceEnergyTable,
     InferenceTask,
     _plain_number,
     bundle_from_dict,
@@ -120,6 +121,10 @@ def test_value_range_violations_surface_from_validation():
         (parse_matrix_csv_text, "\n2020,2021\n1,2\n\n3\n4,5\n", 5, 1),
         (parse_matrix_csv_text, "\n2020,20x1\n1,2\n", 2, 2),
         (parse_matrix_csv_text, "\n2020,2021\n\n", 3, 1),
+        # a header with a column more or less than the format's
+        (parse_driver_csv_text, "\n" + DRIVER_HEADER + ",note\n2020,91,269,0.62,0.02,1.03\n", 2, 6),
+        (parse_driver_csv_text, DRIVER_HEADER.rsplit(",", 1)[0] + "\n2020,91,269,0.62,0.02\n", 1, 6),
+        (parse_inference_table_text, "task,energy_wh,note\ntext_generation,47,x\n", 1, 2),
         # a line of commas is no blank line
         (parse_driver_csv_text, DRIVER_HEADER + "\n \t\n,,,,,\n2020,91,269,0.62,0.02,1.03\n", 3, 1),
         # int() and float() read digit-group underscores and non-ASCII digits;
@@ -195,6 +200,24 @@ def test_readers_share_one_cell_rule(reader, cell, error):
         parse(changed)
     assert (exc.value.line, exc.value.column) == (line, 2)
     assert exc.value.reason.endswith(f"{cell.strip()!r} {error}")
+
+
+@pytest.mark.parametrize("reader", list(_ONE_CELL_OPEN))
+def test_readers_skip_whitespace_lines_around_the_header(reader):
+    # lines of whitespace only, before the header and between it and the
+    # first row, are blank: skipped, but counted in an error's line
+    parse, text, line, valid = _ONE_CELL_OPEN[reader]
+    blank = " \t\n\x0c\n"
+
+    def padded(cell):
+        header, rest = text.format(cell).split("\n", 1)
+        return f"{blank}{header}\n{blank}{rest}"
+
+    assert _parsed(parse, padded(valid)) == _parsed(parse, text.format(valid))
+    with pytest.raises(SchemaError) as exc:
+        parse(padded("x"))
+    assert (exc.value.line, exc.value.column) == (line + 2 * blank.count("\n"), 2)
+    assert exc.value.reason.endswith("'x' is not a number")
 
 
 @pytest.mark.parametrize("reader", list(_ONE_CELL_OPEN))
@@ -933,3 +956,17 @@ def test_inference_table_sanity():
         + table.energy(InferenceTask.SUMMARIZATION)
     )
     assert text_total < table.energy(InferenceTask.IMAGE_GENERATION)
+
+
+_ALL_TASKS = dict.fromkeys(InferenceTask, 1.0)
+
+
+@pytest.mark.parametrize("energies,reason", [
+    ({t: 1.0 for t in list(InferenceTask)[1:]},
+     r"must cover all tasks; missing \['text_classification'\]"),
+    ({**_ALL_TASKS, InferenceTask.SUMMARIZATION: 0.0}, "energy for summarization must be > 0"),
+    ({**_ALL_TASKS, InferenceTask.IMAGE_GENERATION: -2.0}, "energy for image_generation must be > 0"),
+])
+def test_inference_table_rejects_invalid_energies(energies, reason):
+    with pytest.raises(ValueError, match=reason):
+        InferenceEnergyTable(energies)

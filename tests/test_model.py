@@ -1,10 +1,11 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from emisim.core import DRIVER_VARIABLES, DriverRow, DriverTable, ModelKind
+from emisim.core import AnnualSeries, DRIVER_VARIABLES, DriverRow, DriverTable, ModelKind, Unit
 from emisim.errors import (
     DegenerateRowError,
     RankDeficientDesignError,
@@ -13,6 +14,8 @@ from emisim.errors import (
 from emisim.ingest import bundled_driver_table
 from emisim.model import (
     READ_VARIABLES,
+    ImpliedIntensityModel,
+    LinearRegressionModel,
     fit_implied_intensity,
     fit_linear_regression,
     model_to_json,
@@ -166,6 +169,18 @@ def test_degenerate_row_lists_year():
     with pytest.raises(DegenerateRowError) as exc:
         fit_implied_intensity(DriverTable.from_rows(rows))
     assert "2021" in str(exc.value)
+
+
+@pytest.mark.parametrize("build,reason", [
+    (lambda: ImpliedIntensityModel(AnnualSeries(Unit.MT_PER_TWH, ((2020, 0.5), (2021, 0.0)))),
+     "kappa must be positive"),
+    (lambda: LinearRegressionModel((1.0, 2.0, 3.0, 4.0), 0.0, 0.0), "expected 5 coefficients"),
+    (lambda: LinearRegressionModel((1.0,) * 5, math.nan, 0.0), "non-finite fit diagnostics"),
+    (lambda: LinearRegressionModel((1.0,) * 5, 0.0, math.inf), "non-finite fit diagnostics"),
+])
+def test_models_reject_invalid_parameters(build, reason):
+    with pytest.raises(ValueError, match=reason):
+        build()
 
 
 # ---------------------------------------------------------------------------
