@@ -7,7 +7,7 @@ sampling contract:
 * the standard normal in slot ``j`` of realization ``i`` is a pure function
   of ``(master_seed, i, j)``, computed by one vectorized counter-based kernel
   (:func:`standard_normals`), so results are independent of evaluation
-  order, of how rows are blocked, and of the ``workers`` setting;
+  order, of how rows and slots are blocked, and of the ``workers`` setting;
 * slots are laid out variable-major in :class:`Perturbation` row order,
   then by year in per-year mode; per-variable mode has one slot per
   variable, shared by every year;
@@ -60,8 +60,9 @@ RNG_STREAM = "splitmix-boxmuller-v2"
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _GAMMA = np.uint64(_SPLITMIX_GAMMA)
-# Elements of the widest per-row array (normals or one driver) per block of
-# rows in run_simulation; bounds its temporaries, not its output.
+# Elements per block of rows in run_simulation of its widest per-row array:
+# one driver, or the normals of the slots the kernel fills at once (one
+# variable's years in per-year mode). Bounds its temporaries, not its output.
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -79,13 +80,15 @@ def _splitmix64(state: np.ndarray, scratch: np.ndarray) -> None:
 
 
 class _NormalKernel:
-    """Computes the standard normals of blocks of at most ``rows``
-    realizations (see :func:`standard_normals`) in two buffers of
-    ``2 * n_pairs * rows`` words that it owns and reuses. Besides IEEE
+    """Computes the standard normals (see :func:`standard_normals`) of at
+    most ``pairs`` Box-Muller pairs, all ``ceil(n_slots / 2)`` by default, of
+    blocks of at most ``rows`` realizations, in two buffers of
+    ``2 * pairs * rows`` words that it owns and reuses. Besides IEEE
     arithmetic and ``sqrt``, it calls numpy's ``log`` and ``tan`` alone."""
 
-    def __init__(self, master_seed: int, n_slots: int, rows: int):
+    def __init__(self, master_seed: int, n_slots: int, rows: int, pairs: int | None = None):
         self.n_pairs = n_pairs = -(-n_slots // 2)
+        pairs = n_pairs if pairs is None else pairs
         first = np.array([(master_seed + _SPLITMIX_GAMMA) & _MASK64], dtype=np.uint64)
         _splitmix64(first, np.empty_like(first))
         self.first = int(first[0])
@@ -93,20 +96,25 @@ class _NormalKernel:
         # reads outputs 2 (r * n_pairs + p) + 1 + c, with c = 0 for u1 and 1 for u2
         self.row_gammas = np.arange(rows, dtype=np.uint64) * np.uint64(
             2 * n_pairs * _SPLITMIX_GAMMA & _MASK64)
-        self.slot_gammas = (np.arange(2 * n_pairs, dtype=np.uint64) * _GAMMA).reshape(n_pairs, 2).T
-        self.states = np.empty((2, n_pairs, rows), dtype=np.uint64)
-        self.normals = np.empty((n_pairs, 2, rows))
-        # _splitmix64's scratch in the layout of states: a transposed view is slower
-        self.scratch = self.normals.reshape(2, n_pairs, rows).view(np.uint64)
+        self.slot_gammas = (np.arange(2 * pairs, dtype=np.uint64) * _GAMMA).reshape(pairs, 2).T
+        self.states = np.empty(2 * pairs * rows, dtype=np.uint64)
+        self.normals = np.empty(2 * pairs * rows)
 
-    def fill(self, start: int, rows: int) -> np.ndarray:
-        """The normals of realizations ``start .. start + rows - 1`` as a
-        ``(2 * n_pairs, rows)`` view of the kernel's buffer, valid until the
-        next call, whose ``[s, r]`` is slot ``s`` of realization ``start + r``."""
-        states, normals = self.states[:, :, :rows], self.normals[:, :, :rows]
-        offset = (self.first + (2 * start * self.n_pairs + 1) * _SPLITMIX_GAMMA) & _MASK64
-        np.add(self.slot_gammas[:, :, None] + np.uint64(offset), self.row_gammas[:rows], out=states)
-        _splitmix64(states, self.scratch[:, :, :rows])
+    def fill(self, start: int, rows: int, p0: int = 0, p1: int | None = None) -> np.ndarray:
+        """The normals of pairs ``p0 .. p1 - 1`` (all by default) of
+        realizations ``start .. start + rows - 1`` as a ``(2 * (p1 - p0), rows)``
+        view of the kernel's buffer, valid until the next call, whose ``[s, r]``
+        is slot ``2 * p0 + s`` of realization ``start + r``."""
+        pairs = (self.n_pairs if p1 is None else p1) - p0
+        size = 2 * pairs * rows
+        states = self.states[:size].reshape(2, pairs, rows)
+        normals = self.normals[:size].reshape(pairs, 2, rows)
+        # _splitmix64's scratch in the layout of states: a transposed view is slower
+        scratch = self.normals[:size].view(np.uint64).reshape(2, pairs, rows)
+        offset = (self.first + (2 * (start * self.n_pairs + p0) + 1) * _SPLITMIX_GAMMA) & _MASK64
+        np.add(self.slot_gammas[:, :pairs, None] + np.uint64(offset), self.row_gammas[:rows],
+               out=states)
+        _splitmix64(states, scratch)
         states >>= 11
         # m < 2**53 converts exactly, and so does u1 = m 2**-53 + 2**-53; a
         # power of two scales exactly, so m (pi 2**-53) rounds as pi u2
@@ -128,7 +136,7 @@ class _NormalKernel:
         angle += 1.0
         radius /= angle
         normals *= radius[:, None, :]
-        return normals.reshape(2 * self.n_pairs, rows)
+        return normals.reshape(2 * pairs, rows)
 
 
 def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> np.ndarray:
@@ -152,9 +160,11 @@ def standard_normals(master_seed: int, start: int, stop: int, n_slots: int) -> n
     ``sin``, so the bytes depend on numpy's ``log`` and ``tan`` (whose SIMD
     code numpy picks for each CPU), not on its ``cos`` or ``sin``.
 
-    This wrapper and :func:`run_simulation` read the ``(2 * n_pairs, rows)``
-    block that one kernel computes slot-major in buffers of its own, with no
-    temporaries that grow with the block; here through its transposed view.
+    A kernel computes a block slot-major in buffers of its own, with no
+    temporaries that grow with the block. This wrapper reads all pairs of
+    one block through its transposed view; :func:`run_simulation` reads the
+    pairs of one variable group at a time, which gives the same bytes,
+    since each normal depends on its counter alone.
     """
     return _NormalKernel(master_seed, n_slots, stop - start).fill(start, stop - start)[:n_slots].T
 
@@ -288,9 +298,13 @@ def run_simulation(
     The result is a pure function of ``(table, config)``: each row depends
     only on its own realization index (see :func:`standard_normals`), so a
     larger ensemble keeps the rows of a smaller one. The draws are made in
-    blocks of rows. The kernel computes each block slot-major into one buffer
-    of its own, and one broadcast multiply by sigma writes it into the
-    driver arrays, which are then shifted and clamped in place. Only the
+    blocks of rows. For each block, the kernel computes the slots of one
+    variable (per-year mode) or of all variables (per-variable mode)
+    slot-major into one buffer of its own, and one broadcast multiply by
+    sigma writes them into the driver arrays, which are then shifted and
+    clamped in place. A block has ``_BLOCK_ELEMS // max(2 * pairs, years)``
+    rows for the Box-Muller pairs of one such fill: 4096 for the bundled
+    table in both modes, so every loop over a block runs 4096 long. Only the
     variables the model reads (``READ_VARIABLES`` of its kind) get a driver
     array; ``predict_grid`` gets ``None`` for the others, whose out-of-bounds
     draws are counted from a block-sized temporary. Each slot's smallest and
@@ -317,31 +331,42 @@ def run_simulation(
     # has one column. Two allocations: the first plane the model reads, which
     # the model overwrites with its output, and a block of the others
     planes = (np.empty((n_years, n)), *np.empty((n_vars - skip - 1, n_years, n)))
-    step = max(1, _BLOCK_ELEMS // max(n_slots, n_years))
-    kernel = _NormalKernel(config.master_seed, n_slots, min(step, n))
+    # the kernel fills the slots of one group of variables [a, b) at a time,
+    # pairs [floor(a w / 2), ceil(b w / 2)) for w slots per variable: one
+    # variable's years in per-year mode, so that each loop runs a block of
+    # rows long, and all variables in per-variable mode. With an odd year
+    # count, two neighbouring variables share a pair, which both compute
+    width = n_slots // n_vars
+    bounds = range(n_vars + 1) if per_year else (0, n_vars)
+    groups = [(a, b, a * width // 2, -(-b * width // 2)) for a, b in zip(bounds, bounds[1:])]
+    pairs = max(p1 - p0 for _, _, p0, p1 in groups)
+    step = max(1, _BLOCK_ELEMS // max(2 * pairs, n_years))
+    kernel = _NormalKernel(config.master_seed, n_slots, min(step, n), pairs)
     sigma, mean = perturbation.sigma[:, :, None], perturbation.mean[:, :, None]
     lower, upper = perturbation.lower[:, None, None], perturbation.upper[:, None, None]
     clamped = 0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        # per-year mode has one slot per (variable, year), per-variable mode
-        # one per variable, which the multiply broadcasts over the years
-        z = kernel.fill(lo, hi - lo).reshape(n_vars, -1, hi - lo)
-        for k, plane in enumerate(planes, skip):
-            raw = plane[:, lo:hi]
-            np.multiply(z[k], sigma[k], out=raw)
-            raw += mean[k]
-        # sigma >= 0 is finite and rounding is monotone, so each slot's
-        # extreme normals give its draws' exact extremes, overflow included
-        low = z.min(axis=2, keepdims=True) * sigma + mean
-        high = z.max(axis=2, keepdims=True) * sigma + mean
-        outside = ((low < lower) | (high > upper)).any(axis=(1, 2))
-        for k in np.flatnonzero(outside):
-            draws = planes[k - skip][:, lo:hi] if k >= skip else z[k] * sigma[k] + mean[k]
-            clamped += int(np.count_nonzero(draws < lower[k]))
-            clamped += int(np.count_nonzero(draws > upper[k]))
-            if k >= skip:
-                np.clip(draws, lower[k], upper[k], out=draws)
+        for a, b, p0, p1 in groups:
+            # per-year mode has one slot per (variable, year), per-variable
+            # mode one per variable, which the multiply broadcasts over the years
+            s = a * width - 2 * p0
+            z = kernel.fill(lo, hi - lo, p0, p1)[s:s + (b - a) * width].reshape(b - a, -1, hi - lo)
+            for k in range(max(a, skip), b):
+                raw = planes[k - skip][:, lo:hi]
+                np.multiply(z[k - a], sigma[k], out=raw)
+                raw += mean[k]
+            # sigma >= 0 is finite and rounding is monotone, so each slot's
+            # extreme normals give its draws' exact extremes, overflow included
+            low = z.min(axis=2, keepdims=True) * sigma[a:b] + mean[a:b]
+            high = z.max(axis=2, keepdims=True) * sigma[a:b] + mean[a:b]
+            outside = ((low < lower[a:b]) | (high > upper[a:b])).any(axis=(1, 2))
+            for k in np.flatnonzero(outside) + a:
+                draws = planes[k - skip][:, lo:hi] if k >= skip else z[k - a] * sigma[k] + mean[k]
+                clamped += int(np.count_nonzero(draws < lower[k]))
+                clamped += int(np.count_nonzero(draws > upper[k]))
+                if k >= skip:
+                    np.clip(draws, lower[k], upper[k], out=draws)
     del kernel, z  # freed before the predict's temporaries add to the peak
     drivers = [plane.T for plane in planes]
     matrix = model.predict_grid(perturbation.years, *[None] * skip, *drivers, drivers[0])

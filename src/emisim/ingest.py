@@ -297,10 +297,17 @@ def inference_energy(task, count: int, table: "InferenceEnergyTable | None" = No
 
 
 def parse_inference_table_text(text: str) -> InferenceEnergyTable:
-    energies = {
-        _coerce_task(row[0]): _parse_float(row[1], line, 2, "energy_wh")
-        for line, row in _data_rows(text, ("task", "energy_wh"))
-    }
+    """The inference-energy CSV ``task,energy_wh``: one row per task, each
+    named once. An unknown or repeated task raises SchemaError at its cell."""
+    energies = {}
+    for line, (name, wh) in _data_rows(text, ("task", "energy_wh")):
+        try:
+            task = _coerce_task(name)
+        except UnknownTaskError as exc:
+            raise SchemaError(line, 1, str(exc)) from None
+        if task in energies:
+            raise SchemaError(line, 1, f"task {task.value!r} repeats an earlier row")
+        energies[task] = _parse_float(wh, line, 2, "energy_wh")
     return InferenceEnergyTable(energies)
 
 

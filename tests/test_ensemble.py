@@ -20,6 +20,7 @@ from emisim.core import (
     DRIVER_VARIABLES,
     AnnualSeries,
     CorrelationMode,
+    DriverTable,
     ModelKind,
     SimulationConfig,
     Unit,
@@ -518,6 +519,25 @@ def test_standard_normals_match_box_muller_oracle(seed):
     assert np.all(np.abs(got - want) <= 4.0 * _EPS * r)
 
 
+@pytest.mark.parametrize("n_slots,rows,r,p0,p1", [
+    (64, 16, 16, 0, 8),    # the first of four variables of 16 years
+    (64, 16, 11, 24, 32),  # the last, in a ragged block
+    (60, 9, 9, 7, 15),     # the second of 15 years, from a pair it shares
+    (60, 9, 5, 22, 30),    # the last of 15 years, in a ragged block
+    (4, 5, 5, 1, 2),       # one pair
+    (3, 5, 4, 0, 2),       # all pairs of an odd slot count, the dropped sine too
+])
+def test_kernel_fills_a_range_of_pairs(n_slots, rows, r, p0, p1):
+    # pairs p0 .. p1 - 1 of a block are columns 2 p0 .. 2 p1 - 1 of its
+    # normals, whatever block the kernel computed before. 2 * n_pairs slots
+    # read the same pair counters as n_slots, with an odd count's last sine
+    kernel = ensemble._NormalKernel(5, n_slots, rows)
+    for start in (0, 1_000_003):
+        want = standard_normals(5, start, start + r, 2 * kernel.n_pairs).T
+        kernel.fill(start + 7, rows)
+        assert kernel.fill(start, r, p0, p1).tobytes() == want[2 * p0:2 * p1].tobytes()
+
+
 def test_box_muller_edge_uniforms_give_finite_normals(monkeypatch):
     # m = 2**52 puts the tangent's argument at the double nearest pi / 2
     edges = np.array([0, 2**51, 2**52, 2**53 - 1], dtype=np.uint64)
@@ -585,24 +605,45 @@ def test_larger_ensemble_keeps_the_rows_of_a_smaller_one(table):
             assert prefix.tobytes() == full[:n].tobytes()
 
 
+def _tables(table):
+    """The bundled table and its first 15 years: with an odd year count, the
+    middle pair of a per-year row holds the last year of one variable and
+    the first of the next."""
+    return table, DriverTable.from_rows(table.rows[:15])
+
+
 @pytest.mark.parametrize("mode", list(CorrelationMode))
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_row_blocks_do_not_change_results(table, monkeypatch, mode, kind):
     # draws are made in blocks of rows; blocks of 7 rows must give the bytes
-    # of one block, across block edges and for a ragged last block
-    n_slots = 4 * (len(table.years) if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 1)
+    # of one block, across block edges and for a ragged last block. A block
+    # has _BLOCK_ELEMS // max(2 * pairs, years) rows, for the pairs the kernel
+    # fills at once: one variable's years in per-year mode, all in per-variable
     step = 7
-    for n in (1, step - 1, step, step + 1, 2 * step + 3):
-        cfg = _config(realizations=n, correlation_mode=mode, model_kind=kind,
-                      halfwidths=_uniform_halfwidths(3.0))
-        whole = run_simulation(table, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(ensemble, "_BLOCK_ELEMS", step * max(n_slots, len(table.years)))
-            blocked = run_simulation(table, cfg)
-        assert blocked.matrix.tobytes() == whole.matrix.tobytes()
-        assert blocked.clamped_draws == whole.clamped_draws
-        assert blocked.clamped_predictions == whole.clamped_predictions
-    assert whole.clamped_draws > 0
+    rows = []
+
+    class Kernel(ensemble._NormalKernel):
+        def fill(self, start, n, *pairs):
+            rows.append(n)
+            return super().fill(start, n, *pairs)
+
+    for years in _tables(table):
+        n_years = len(years.years)
+        pairs = -(-n_years // 2) if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 2
+        for n in (1, step - 1, step, step + 1, 2 * step + 3):
+            cfg = _config(realizations=n, correlation_mode=mode, model_kind=kind,
+                          halfwidths=_uniform_halfwidths(3.0))
+            whole = run_simulation(years, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(ensemble, "_BLOCK_ELEMS", step * max(2 * pairs, n_years))
+                m.setattr(ensemble, "_NormalKernel", Kernel)
+                rows.clear()
+                blocked = run_simulation(years, cfg)
+            assert max(rows) == min(n, step) and rows[-1] == n - (n - 1) // step * step
+            assert blocked.matrix.tobytes() == whole.matrix.tobytes()
+            assert blocked.clamped_draws == whole.clamped_draws
+            assert blocked.clamped_predictions == whole.clamped_predictions
+        assert whole.clamped_draws > 0
 
 
 @pytest.mark.parametrize("mode", list(CorrelationMode))
@@ -631,12 +672,13 @@ def test_clamped_draws_count_every_variable(table, mode, kind, halfwidths):
     # model does not read. 4097 rows cross a block edge in both modes
     n = 4097
     cfg = _config(realizations=n, correlation_mode=mode, model_kind=kind, halfwidths=halfwidths)
-    p = build_perturbations(table, cfg)
-    n_slots = 4 * (len(table.years) if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 1)
-    draws = p.mean + standard_normals(42, 0, n, n_slots).reshape(n, 4, -1) * p.sigma
-    out = (draws < p.lower[:, None]) | (draws > p.upper[:, None])
-    assert out[:, 0].any()
-    assert run_simulation(table, cfg).clamped_draws == np.count_nonzero(out)
+    for years in _tables(table):
+        p = build_perturbations(years, cfg)
+        n_slots = 4 * (len(years.years) if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 1)
+        draws = p.mean + standard_normals(42, 0, n, n_slots).reshape(n, 4, -1) * p.sigma
+        out = (draws < p.lower[:, None]) | (draws > p.upper[:, None])
+        assert out[:, 0].any()
+        assert run_simulation(years, cfg).clamped_draws == np.count_nonzero(out)
 
 
 class _ArgsModel:

@@ -117,6 +117,10 @@ def test_value_range_violations_surface_from_validation():
          "task,energy_wh\n\ntext_generation,47\n\n\nsummarization,-\n", 6, 2),
         (parse_inference_table_text, "task,energy_wh\n\n", 2, 1),
         (parse_inference_table_text, "\ntask,energy\ntext_generation,1\n", 2, 2),
+        # a task the table does not know, and a second row for one task
+        (parse_inference_table_text, "task,energy_wh\n\nmind_reading,1\n", 3, 1),
+        (parse_inference_table_text,
+         bundled_data_text("inference_energy.csv") + "\ntext-generation,1\n", 9, 1),
         (parse_matrix_csv_text, "2020,2021\n1,2\n\n3,x\n", 4, 2),
         (parse_matrix_csv_text, "\n2020,2021\n1,2\n\n3\n4,5\n", 5, 1),
         (parse_matrix_csv_text, "\n2020,20x1\n1,2\n", 2, 2),
@@ -253,6 +257,16 @@ def test_text_parsers_raise_only_emisim_or_value_errors(header, body):
             parse(header + body)
         except (EmisimError, ValueError):
             pass
+
+
+@pytest.mark.parametrize("row,reason", [
+    ("text-generation,1", "task 'text_generation' repeats an earlier row"),
+    ("mind reading,1", "unknown task 'mind reading'"),
+])
+def test_inference_table_names_the_task_it_refuses(row, reason):
+    with pytest.raises(SchemaError) as exc:
+        parse_inference_table_text(bundled_data_text("inference_energy.csv") + row + "\n")
+    assert exc.value.reason == reason and exc.value.exit_code == 2
 
 
 def test_whitespace_lines_are_blank():
