@@ -15,8 +15,8 @@ sampling contract:
   numpy's ``log`` and ``tan``, whose SIMD code numpy picks for each CPU (not
   on ``cos`` or ``sin``), so run manifests record the numpy version and the
   SIMD target numpy dispatches ``log`` and ``tan`` to;
-* tail draws are clamped to the variable bounds, and the number of clamped
-  entries is reported so distortion is visible.
+* only the variables the model reads are drawn; tail draws are clamped to
+  their bounds, and the clamped entries are counted so distortion is visible.
 
 Percentiles use linear interpolation between order statistics on (n - 1)
 spacing: rank r = (p / 100) * (n - 1), interpolated between the two
@@ -61,8 +61,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _GAMMA = np.uint64(_SPLITMIX_GAMMA)
 # Elements per block of rows in run_simulation of its widest per-row array:
-# one driver, or the normals of the slots the kernel fills at once (one
-# variable's years in per-year mode). Bounds its temporaries, not its output.
+# one driver, or the normals of the slots the kernel fills at once (one or
+# two variables' years in per-year mode). Bounds its temporaries, not its output.
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -298,20 +298,21 @@ def run_simulation(
     The result is a pure function of ``(table, config)``: each row depends
     only on its own realization index (see :func:`standard_normals`), so a
     larger ensemble keeps the rows of a smaller one. The draws are made in
-    blocks of rows. For each block, the kernel computes the slots of one
-    variable (per-year mode) or of all variables (per-variable mode)
+    blocks of rows, only for the variables the model reads (``READ_VARIABLES``
+    of its kind), and ``predict_grid`` gets ``None`` for the others. For each
+    block, the kernel computes the slots of one group of variables (all of
+    them per-variable; one, or two for an odd year count, per-year)
     slot-major into one buffer of its own, and one broadcast multiply by
     sigma writes them into the driver arrays, which are then shifted and
     clamped in place. A block has ``_BLOCK_ELEMS // max(2 * pairs, years)``
-    rows for the Box-Muller pairs of one such fill: 4096 for the bundled
-    table in both modes, so every loop over a block runs 4096 long. Only the
-    variables the model reads (``READ_VARIABLES`` of its kind) get a driver
-    array; ``predict_grid`` gets ``None`` for the others, whose out-of-bounds
-    draws are counted from a block-sized temporary. Each slot's smallest and
-    largest normal tell whether a block holds such a draw. The model writes
-    its output over the first driver array it reads, passed as
-    ``predict_grid``'s sixth positional parameter ``out`` so that a wrapper
-    forwarding ``*args`` keeps it; that array is the result matrix. Besides
+    rows for the Box-Muller pairs of the largest group, which every loop
+    over a block runs long: 4096 for the bundled table in both modes, 2184
+    per-year for its first 15 years. Each slot's smallest and largest normal
+    tell whether a block holds a draw out of bounds, and ``clamped_draws``
+    counts those draws. The model writes its output over the first driver
+    array it reads, passed as ``predict_grid``'s sixth positional parameter
+    ``out`` so that a wrapper forwarding ``*args`` keeps it; that array is
+    the result matrix. Besides
     the driver arrays, only the kernel's two block-sized buffers are held,
     and they are freed before the predict. ``workers`` is kept for
     compatibility; neither the output nor the speed depends on it.
@@ -323,8 +324,8 @@ def run_simulation(
     per_year = config.correlation_mode is CorrelationMode.INDEPENDENT_PER_YEAR
     n_slots = n_vars * (n_years if per_year else 1)
     n = config.realizations
-    # the model reads the variables from `skip` on; the ones before it are
-    # drawn and their clamped draws counted, but no plane holds them
+    # the model reads the variables from `skip` on; the ones before it change
+    # no output, so they are neither drawn nor held in a plane
     skip = n_vars - len(READ_VARIABLES[model.kind])
     # each driver is a column-major (realizations x years) view of a
     # (year, realization) plane, which keeps numpy's inner loops long when z
@@ -332,12 +333,11 @@ def run_simulation(
     # the model overwrites with its output, and a block of the others
     planes = (np.empty((n_years, n)), *np.empty((n_vars - skip - 1, n_years, n)))
     # the kernel fills the slots of one group of variables [a, b) at a time,
-    # pairs [floor(a w / 2), ceil(b w / 2)) for w slots per variable: one
-    # variable's years in per-year mode, so that each loop runs a block of
-    # rows long, and all variables in per-variable mode. With an odd year
-    # count, two neighbouring variables share a pair, which both compute
+    # pairs [floor(a w / 2), ceil(b w / 2)) for w slots per variable. Per-year,
+    # a group also starts at each variable whose first slot is even, so each
+    # loop runs a block of rows long and no pair is in two groups
     width = n_slots // n_vars
-    bounds = range(n_vars + 1) if per_year else (0, n_vars)
+    bounds = (skip, *(k for k in range(skip + 1, n_vars) if per_year and not k * width % 2), n_vars)
     groups = [(a, b, a * width // 2, -(-b * width // 2)) for a, b in zip(bounds, bounds[1:])]
     pairs = max(p1 - p0 for _, _, p0, p1 in groups)
     step = max(1, _BLOCK_ELEMS // max(2 * pairs, n_years))
@@ -352,7 +352,7 @@ def run_simulation(
             # mode one per variable, which the multiply broadcasts over the years
             s = a * width - 2 * p0
             z = kernel.fill(lo, hi - lo, p0, p1)[s:s + (b - a) * width].reshape(b - a, -1, hi - lo)
-            for k in range(max(a, skip), b):
+            for k in range(a, b):
                 raw = planes[k - skip][:, lo:hi]
                 np.multiply(z[k - a], sigma[k], out=raw)
                 raw += mean[k]
@@ -362,11 +362,10 @@ def run_simulation(
             high = z.max(axis=2, keepdims=True) * sigma[a:b] + mean[a:b]
             outside = ((low < lower[a:b]) | (high > upper[a:b])).any(axis=(1, 2))
             for k in np.flatnonzero(outside) + a:
-                draws = planes[k - skip][:, lo:hi] if k >= skip else z[k - a] * sigma[k] + mean[k]
+                draws = planes[k - skip][:, lo:hi]
                 clamped += int(np.count_nonzero(draws < lower[k]))
                 clamped += int(np.count_nonzero(draws > upper[k]))
-                if k >= skip:
-                    np.clip(draws, lower[k], upper[k], out=draws)
+                np.clip(draws, lower[k], upper[k], out=draws)
     del kernel, z  # freed before the predict's temporaries add to the peak
     drivers = [plane.T for plane in planes]
     matrix = model.predict_grid(perturbation.years, *[None] * skip, *drivers, drivers[0])

@@ -48,7 +48,7 @@ from emisim.errors import (
 )
 from emisim.ingest import bundled_driver_table
 from emisim.matrix import parse_matrix_csv_text
-from emisim.model import fit_implied_intensity, fit_model, predict_table
+from emisim.model import READ_VARIABLES, fit_implied_intensity, fit_model, predict_table
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +346,7 @@ _CLI_MANIFESTS = {
                             (0, 17_732)),
     "regression-3pct": ({"halfwidths": 3.0, "model_kind": "linear_regression"}, (181_094, 65_217)),
     "per-year-3pct": ({"realizations": 3000, "master_seed": 7, "halfwidths": 3.0,
-                       "correlation_mode": "per-year"}, (54_177, 0)),
+                       "correlation_mode": "per-year"}, (44_605, 0)),
     "per-year-regression-3pct": ({"realizations": 3000, "master_seed": 7, "halfwidths": 3.0,
                                   "correlation_mode": "per-year",
                                   "model_kind": "linear_regression"}, (54_177, 19_488)),
@@ -617,26 +617,27 @@ def _tables(table):
 def test_row_blocks_do_not_change_results(table, monkeypatch, mode, kind):
     # draws are made in blocks of rows; blocks of 7 rows must give the bytes
     # of one block, across block edges and for a ragged last block. A block
-    # has _BLOCK_ELEMS // max(2 * pairs, years) rows, for the pairs the kernel
-    # fills at once: one variable's years in per-year mode, all in per-variable
+    # has _BLOCK_ELEMS // max(2 * pairs, years) rows, for the most pairs the
+    # kernel fills at once, read here from the fills of an unblocked run
     step = 7
-    rows = []
+    rows, pairs = [], []
 
     class Kernel(ensemble._NormalKernel):
-        def fill(self, start, n, *pairs):
+        def fill(self, start, n, p0, p1):
             rows.append(n)
-            return super().fill(start, n, *pairs)
+            pairs.append(p1 - p0)
+            return super().fill(start, n, p0, p1)
 
     for years in _tables(table):
         n_years = len(years.years)
-        pairs = -(-n_years // 2) if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 2
         for n in (1, step - 1, step, step + 1, 2 * step + 3):
             cfg = _config(realizations=n, correlation_mode=mode, model_kind=kind,
                           halfwidths=_uniform_halfwidths(3.0))
-            whole = run_simulation(years, cfg)
             with monkeypatch.context() as m:
-                m.setattr(ensemble, "_BLOCK_ELEMS", step * max(2 * pairs, n_years))
                 m.setattr(ensemble, "_NormalKernel", Kernel)
+                pairs.clear()
+                whole = run_simulation(years, cfg)
+                m.setattr(ensemble, "_BLOCK_ELEMS", step * max(2 * max(pairs), n_years))
                 rows.clear()
                 blocked = run_simulation(years, cfg)
             assert max(rows) == min(n, step) and rows[-1] == n - (n - 1) // step * step
@@ -666,19 +667,47 @@ def test_config_strings_act_as_their_enums(table, mode, kind):
     # ai_share draws pass 1 and none falls below 0
     {"semis_twh": 3.0, "dc_twh": 0.1, "mix_factor": 0.1, "ai_share": 0.5},
 ], ids=["0.9", "3.0", "ai-share-above-one"])
-def test_clamped_draws_count_every_variable(table, mode, kind, halfwidths):
+def test_clamped_draws_count_every_read_variable(table, mode, kind, halfwidths):
     # the count the sampler reports, made here from the normals themselves: every
-    # draw outside its variable's bounds, semis_twh included, which the intensity
-    # model does not read. 4097 rows cross a block edge in both modes
+    # draw outside its variable's bounds, of the variables the model reads only;
+    # semis_twh draws do leave their bounds, and the intensity model does not
+    # read them. 4097 rows cross a block edge in both modes
     n = 4097
     cfg = _config(realizations=n, correlation_mode=mode, model_kind=kind, halfwidths=halfwidths)
+    read = [DRIVER_VARIABLES.index(name) for name in READ_VARIABLES[kind]]
     for years in _tables(table):
         p = build_perturbations(years, cfg)
         n_slots = 4 * (len(years.years) if mode is CorrelationMode.INDEPENDENT_PER_YEAR else 1)
         draws = p.mean + standard_normals(42, 0, n, n_slots).reshape(n, 4, -1) * p.sigma
         out = (draws < p.lower[:, None]) | (draws > p.upper[:, None])
         assert out[:, 0].any()
-        assert run_simulation(years, cfg).clamped_draws == np.count_nonzero(out)
+        assert run_simulation(years, cfg).clamped_draws == np.count_nonzero(out[:, read])
+
+
+@pytest.mark.parametrize("mode, kind, pairs", [
+    (CorrelationMode.INDEPENDENT_PER_YEAR, ModelKind.IMPLIED_INTENSITY, {16: 24, 15: 23, 1: 2}),
+    (CorrelationMode.INDEPENDENT_PER_YEAR, ModelKind.LINEAR_REGRESSION, {16: 32, 15: 30}),
+    (CorrelationMode.CORRELATED_PER_VARIABLE, ModelKind.IMPLIED_INTENSITY, {16: 2, 15: 2, 1: 2}),
+    (CorrelationMode.CORRELATED_PER_VARIABLE, ModelKind.LINEAR_REGRESSION, {16: 2, 15: 2}),
+])
+def test_kernel_computes_each_read_pair_once(table, monkeypatch, mode, kind, pairs):
+    # Box-Muller pairs per realization: none for semis_twh alone, which the
+    # intensity model does not read, and none twice where an odd year count
+    # puts one pair across two variables
+    computed = []
+
+    class Kernel(ensemble._NormalKernel):
+        def fill(self, start, n, p0, p1):
+            computed.append((p1 - p0) * n)
+            return super().fill(start, n, p0, p1)
+
+    monkeypatch.setattr(ensemble, "_NormalKernel", Kernel)
+    n = 5000
+    for n_years, want in pairs.items():
+        computed.clear()
+        run_simulation(DriverTable.from_rows(table.rows[:n_years]),
+                       _config(realizations=n, correlation_mode=mode, model_kind=kind))
+        assert sum(computed) == want * n
 
 
 class _ArgsModel:
