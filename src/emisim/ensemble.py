@@ -272,12 +272,9 @@ class EnsembleResult:
     def __post_init__(self):
         if self.matrix.shape != (self.config.realizations, len(self.years)):
             raise ValueError("matrix shape does not match realizations x years")
-        # a nan or an infinity reaches min or max; no full-size temporaries
-        low, high = self.matrix.min(), self.matrix.max()
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValueError("non-finite emission values in ensemble")
-        if low < 0.0:
-            raise ValueError("negative emission values in ensemble")
+        # each year's min and max, which a nan reaches: no full-size temporaries
+        extremes = np.stack((self.matrix.min(axis=0), self.matrix.max(axis=0)), axis=1)
+        _check_emissions(extremes, [f"year {year}" for year in self.years])
 
     def to_csv_text(self) -> str:
         """The matrix CSV: a header of years, then one row per realization,
@@ -382,33 +379,39 @@ def run_simulation(
 # Percentiles and bands
 # ---------------------------------------------------------------------------
 
+def _check_emissions(sorted_rows: np.ndarray, names: Sequence[str]) -> None:
+    """Raise ValueError, naming the first bad row by ``names``, unless every
+    value of each row of ``sorted_rows`` (sorted, or its min and max) is
+    finite and at least 0; the ends tell, since NaN sorts last and -inf first.
+    A non-finite value is reported before a negative one."""
+    low, high = sorted_rows[:, 0], sorted_rows[:, -1]
+    for fault, bad in (("non-finite", ~(np.isfinite(low) & np.isfinite(high))),
+                       ("negative", low < 0.0)):
+        if bad.any():
+            raise ValueError(f"{fault} emission values in {names[bad.argmax()]}")
+
+
 def _order_statistics(sorted_rows: np.ndarray, percentiles) -> np.ndarray:
     """Percentiles of each row of ``sorted_rows`` (sorted along its last
-    axis), shape ``(rows, len(percentiles))``: with rank
-    ``r = p / 100 * (n - 1)``, the value at ``floor(r)`` plus ``r - floor(r)``
-    times the step to the next order statistic. Where that is not finite,
-    equal ends or a zero fraction give the lower end, one infinite end gives
-    that end, and others interpolate halved ends."""
+    axis; every value finite and >= 0, so no step overflows), shape
+    ``(rows, len(percentiles))``: with rank ``r = p / 100 * (n - 1)``, the
+    value at ``floor(r)`` plus ``r - floor(r)`` times the step to the next
+    order statistic."""
     n = sorted_rows.shape[-1]
     ranks = np.asarray(percentiles, dtype=float) / 100.0 * (n - 1)
     lo = np.floor(ranks).astype(np.intp)
     frac = ranks - lo
     below = sorted_rows[:, lo]
     above = sorted_rows[:, np.minimum(lo + 1, n - 1)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = below + frac * (above - below)
-        halves = 2.0 * (below / 2.0 + frac * (above / 2.0 - below / 2.0))
-        # halves of finite ends stay finite; where one end is infinite, the sum is that end
-        halves = np.where(np.isfinite(halves), halves, below + above)
-        ends = np.where((below == above) | (frac == 0.0), below, halves)
-    return np.where(np.isfinite(levels), levels, ends)
+    return below + frac * (above - below)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolation percentile of ``values`` for p in (0, 100)."""
+    """Linear-interpolation percentile of ``values``, finite and >= 0, for p in (0, 100)."""
     if len(values) == 0:
         raise EmptyInputError("percentile of empty list")
     ranked = np.sort(np.asarray(values, dtype=float))[None, :]
+    _check_emissions(ranked, ("the list",))
     return float(_order_statistics(ranked, validate_percentiles((p,)))[0, 0])
 
 
@@ -448,25 +451,29 @@ class PercentileBands:
 
 def bands_from_matrix(matrix: np.ndarray, years, percentiles) -> PercentileBands:
     """Percentile bands and mean of each column of a (realizations x years)
-    matrix. Percentiles outside (0, 100) or not strictly increasing raise
-    ValueError, and a finite column whose mean overflows OverflowError."""
+    matrix, one of ``years`` per column. Percentiles outside (0, 100) or not
+    strictly increasing, and a value not finite or below 0, raise ValueError
+    (which names the value's year); a mean that overflows OverflowError."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise EmptyEnsembleError("cannot take percentiles of an empty ensemble")
     percentiles = validate_percentiles(percentiles)
+    years = tuple(years)
+    if len(years) != matrix.shape[1]:
+        raise ValueError(f"{len(years)} years for {matrix.shape[1]} matrix columns")
     # one C-contiguous row per year, whatever the input layout: numpy sums a
     # row pairwise only along contiguous memory, so the means stay bit-exact
     columns = np.array(matrix.T, order="C")
     columns.sort(axis=1)
+    _check_emissions(columns, [f"year {year}" for year in years])
     levels = _order_statistics(columns, percentiles)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, by year
+    with np.errstate(over="ignore"):  # an overflow is raised below, by year
         # constant columns keep the degenerate (sigma = 0) collapse bit-exact
         means = np.where(columns[:, 0] == columns[:, -1], columns[:, 0], columns.mean(axis=1))
-    # a sorted column is finite iff its ends are
-    overflowed = np.isfinite(columns[:, [0, -1]]).all(axis=1) & ~np.isfinite(means)
+    overflowed = np.isinf(means)
     if overflowed.any():
-        raise OverflowError(f"ensemble mean overflows in year {tuple(years)[overflowed.argmax()]}")
-    return PercentileBands(tuple(years), percentiles, levels, means)
+        raise OverflowError(f"ensemble mean overflows in year {years[overflowed.argmax()]}")
+    return PercentileBands(years, percentiles, levels, means)
 
 
 def bands(result: EnsembleResult, percentiles: Sequence[float] | None = None) -> PercentileBands:

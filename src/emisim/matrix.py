@@ -27,8 +27,8 @@ def parse_matrix_csv_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
     increasing years, then one row of numbers per realization; lines of
     whitespace only are skipped. Every cell reads as ``float`` reads it:
     the correctly rounded double (see :func:`_matrix_body`), which must be
-    finite. The first error raises: no data rows, then the header, then the
-    first bad line of the body."""
+    an emission, finite and at least 0. The first error raises: no data
+    rows, then the header, then the first bad cell of the body."""
     lines = _numbered_lines(text)
     line, header, _ = next(lines, (0, "", 0))
     row_line, row, row_start = next(lines, (0, "", 0))
@@ -45,12 +45,20 @@ def _other_block_values(rows: list[tuple[int, str, int]], width: int) -> np.ndar
     """The rows of the non-blank lines of a block not in the writer's form,
     given as :func:`~emisim.ingest._numbered_lines` yields them, read line by
     line with the readers' number rule; the first line that is not ``width``
-    finite numbers raises its SchemaError. (A writer-form cell has at most
-    19 digits, so it is always finite.)"""
-    values = (_parse_float(cell, line, column)
+    cells, or its first cell that is not a number, finite and at least 0,
+    raises its SchemaError. (A writer-form cell has at most 19 digits and no
+    sign, so it is always finite and at least 0.)"""
+    values = (_parse_emission(cell, line, column)
               for line, text, _ in rows
               for column, cell in enumerate(_cells(line, text, width), 1))
     return np.fromiter(values, float, len(rows) * width).reshape(len(rows), width)
+
+
+def _parse_emission(cell: str, line: int, column: int) -> float:
+    value = _parse_float(cell, line, column)
+    if value < 0.0:
+        raise SchemaError(line, column, f"{cell!r} is negative")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +269,7 @@ def _closest_shortest(a: np.ndarray, r: np.ndarray, h_whole: np.ndarray,
 def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -> np.ndarray:
     """The rows of ``width`` numbers in the matrix CSV ``text`` from offset
     ``start``, the start of file line ``line``, on. A line that is not
-    ``width`` numbers raises its SchemaError.
+    ``width`` numbers, each finite and at least 0, raises its SchemaError.
 
     The text is read one block of about ``_MATRIX_BLOCK_CELLS`` cells at a
     time, ``row_chars`` characters a row, a slice that ends at a line feed,
@@ -281,7 +289,9 @@ def _matrix_body(text: str, start: int, line: int, row_chars: int, width: int) -
         values = _matrix_block_values(block, width)
         if values is None:
             values = _other_block_values(list(_numbered_lines(block, line)), width)
-        line += block.count("\n")  # the next block starts after the last line feed
+            line += block.count("\n")  # blank lines too
+        else:
+            line += len(values)  # a writer-form block has one row per line feed
         out[rows:rows + len(values)] = values
         rows += len(values)
     # no view of ``out`` is left, so it can shrink in place

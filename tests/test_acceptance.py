@@ -152,7 +152,7 @@ def test_criterion_7_property_suite():
     # (c) percentile equivalence against an independent interpolation oracle
     rng = np.random.RandomState(7)
     for n in range(1, 9):
-        values = list(rng.uniform(-50, 50, size=n))
+        values = list(rng.uniform(0, 100, size=n))
         sorted_values = np.sort(values)
         for p in range(1, 100):
             mine = percentile(values, p)

@@ -633,6 +633,9 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               " --out o.csv --matrix-out m.csv", _HUGE_HW, code=4, named=["OverflowError", "2024"]),
         _case("bands-overflowing-mean", "bands --input m.csv --out b.csv",
               {"m.csv": "2020,2021\n1.0,1e308\n2.0,1.5e308\n"}, code=4, named=["2021"]),
+        _case("bands-negative-cell", "bands --input m.csv --out b.csv",
+              {"m.csv": "2020,2021\n1.0,2.0\n\n3.0,-4e-300\n"},
+              named=["line 4, column 2", "'-4e-300' is negative"]),
         _case("driver-json-infinite-year", "validate --input t.json",
               {"t.json": '{"rows": [{"year": 1e999, %s}]}' % _DRIVER_ROW}, named=["t.json"]),
         _case("bundle-infinite-year", "mean --input b.json",
@@ -649,7 +652,7 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
         _case("config-deep-nesting", "simulate --input TABLE --config cfg.json",
               {"cfg.json": _DEEP_JSON}, named=["cfg.json"]),
         _case("bands-four-huge-values", "bands --input m.csv --out b.csv",
-              {"m.csv": "2020\n-1.5e308\n-1e308\n1e308\n1.5e308\n"}, code=4,
+              {"m.csv": "2020\n1e308\n1.5e308\n1.7e308\n1.7e308\n"}, code=4,
               named=["OverflowError", "2020"]),
         # 455 PiB of drivers: beyond any address space, refused before a page is touched
         _case("realizations-beyond-memory", f"simulate --input TABLE --realizations {10**15}",
@@ -823,6 +826,8 @@ _MATRIX_CELLS = [
     (["\u0661,2", "3,4"], None),
     (["-1e308,inf", "1e308,inf"], None),
     (["1.5,1e999", "3,4"], None),
+    (["1.5,2.5", "-0.0,-3"], None),
+    (["-0.0,0", "3,4"], [[0.0, 0.0], [3.0, 4.0]]),
 ]
 
 

@@ -880,7 +880,7 @@ def test_percentile_matches_oracles_on_short_lists():
     rng = np.random.RandomState(123)
     for n in range(1, 9):
         for _ in range(3):
-            values = list(rng.uniform(-100, 100, size=n))
+            values = list(rng.uniform(0, 200, size=n))
             ranks = np.arange(n)
             sorted_values = np.sort(values)
             for p in range(1, 100):
@@ -1004,12 +1004,19 @@ def test_widening_halfwidths_weakly_widen_bands(table):
 
 
 def test_bands_mean_overflow_names_the_first_year():
-    # finite columns whose sum overflows; a column that is not finite
-    # already keeps its non-finite mean
+    # finite columns whose sum overflows; a column that is not finite is
+    # refused before any mean is taken
     matrix = np.array([[1.0, 1e308, 1e308, np.inf], [2.0, 1.5e308, 1.5e308, 1.0]])
     with pytest.raises(OverflowError, match="year 2021"):
-        bands_from_matrix(matrix, (2020, 2021, 2022, 2023), (50.0,))
-    assert bands_from_matrix(matrix[:, [0, 3]], (2020, 2023), (50.0,)).mean[1] == np.inf
+        bands_from_matrix(matrix[:, :3], (2020, 2021, 2022), (50.0,))
+    with pytest.raises(ValueError, match="non-finite emission values in year 2023"):
+        bands_from_matrix(matrix[:, [0, 3]], (2020, 2023), (50.0,))
+
+
+def test_bands_need_one_year_per_matrix_column():
+    for years in ((2020,), (2020, 2021, 2022, 2023)):
+        with pytest.raises(ValueError, match=f"{len(years)} years for 3 matrix columns"):
+            bands_from_matrix(np.ones((2, 3)), years, (50.0,))
 
 
 def test_bands_empty_ensemble():
@@ -1030,24 +1037,33 @@ def test_bands_rejects_bad_percentiles(table, percentiles, fault):
     assert str(exc.value) == fault
 
 
-def test_order_statistics_meet_overflow_and_infinities():
-    # the step from -1e308 to 1e308 overflows; inf - inf is not a number
-    b = bands_from_matrix(np.array([[-1e308, np.inf], [1e308, np.inf]]), (2020, 2021),
-                          (5.0, 50.0, 95.0))
-    assert b.levels.tolist() == [[-9e307, 0.0, 8.999999999999999e307], [np.inf] * 3]
-    assert b.mean.tolist() == [0.0, np.inf]
-    # a zero fraction takes the order statistic itself, not 2.0 + 0 * inf
-    column = np.array([[1.0], [2.0], [np.inf]])
-    assert bands_from_matrix(column, (2020,), (50.0,)).levels[0, 0] == 2.0
-    # both infinities: no number, and no warning either
-    b = bands_from_matrix(np.array([[-np.inf], [np.inf]]), (2020,), (50.0,))
-    assert np.isnan(b.levels[0, 0]) and np.isnan(b.mean[0])
-    # one infinite end: the type-7 value is that infinity
-    column = np.array([[-np.inf], [5.0], [np.inf]])
-    b = bands_from_matrix(column, (2020,), (5.0, 25.0, 50.0, 75.0, 95.0))
-    assert b.levels[0].tolist() == [-np.inf, -np.inf, 5.0, np.inf, np.inf]
-    b = bands_from_matrix(np.array([[-np.inf], [-np.inf], [3.0]]), (2020,), (25.0, 75.0, 95.0))
-    assert b.levels[0].tolist() == [-np.inf, -np.inf, -np.inf]
+def test_bands_refuse_values_no_emission_takes():
+    # every value that reaches a band is finite and at least 0
+    years = (2020, 2021, 2022)
+    for value in (np.nan, np.inf, -np.inf, -1.0):
+        matrix = np.ones((3, 3))
+        matrix[1, 1] = value
+        fault = "negative" if value == -1.0 else "non-finite"
+        with pytest.raises(ValueError, match=f"{fault} emission values in year 2021"):
+            bands_from_matrix(matrix, years, (50.0,))
+        with pytest.raises(ValueError, match=f"{fault} emission values"):
+            percentile(matrix[:, 1].tolist(), 50.0)
+    # a non-finite value is reported before a negative one, even in a later year
+    matrix = np.array([[-1.0, 1.0, np.nan], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite emission values in year 2022"):
+        bands_from_matrix(matrix, years, (50.0,))
+    with pytest.raises(ValueError, match="non-finite emission values"):
+        percentile([-1.0, np.inf], 50.0)
+    # -0.0 is an emission
+    b = bands_from_matrix(np.full((2, 3), -0.0), years, (5.0, 95.0))
+    assert b.levels.tolist() == [[0.0, 0.0]] * 3 and b.mean.tolist() == [0.0] * 3
+    assert percentile([-0.0, -0.0], 50.0) == 0.0
+    # the largest step gives finite levels, and no warning
+    column = [0.0, 1.7976931348623157e308]
+    b = bands_from_matrix(np.array(column)[:, None], (2020,), (5.0, 50.0, 95.0))
+    assert b.levels[0].tolist() == [_type7(column, p) for p in (5.0, 50.0, 95.0)]
+    assert np.isfinite(b.levels).all()
+    assert b.mean.tolist() == [8.988465674311579e307]
 
 
 # Integers and one division: the band bytes depend on IEEE arithmetic alone,

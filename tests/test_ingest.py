@@ -405,10 +405,10 @@ def test_matrix_writer_falls_back_to_repr_where_it_cannot_certify():
 
 def _loadtxt_matrix(text):
     """The matrix CSV reader before it read in blocks, the reader's reference:
-    np.loadtxt over the non-blank lines, each ended by LF alone, with no cell
-    that is not finite. Where that fails, the error is searched for one line
-    at a time and, in a line of the right width, one cell at a time: "no data
-    rows" first, then the header, then the body."""
+    np.loadtxt over the non-blank lines, each ended by LF alone, with every
+    cell finite and at least 0. Where that fails, the error is searched for
+    one line at a time and, in a line of the right width, one cell at a time:
+    "no data rows" first, then the header, then the body."""
     rows = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if len(rows) < 2:
         raise SchemaError(rows[0][0] + 1 if rows else 1, 1, "no data rows")
@@ -424,7 +424,7 @@ def _loadtxt_matrix(text):
     width = len(years)
     try:
         matrix = np.loadtxt([ln for _, ln in rows], delimiter=",", comments=None, ndmin=2)
-        if matrix.shape[1] == width and np.isfinite(matrix).all():
+        if matrix.shape[1] == width and np.isfinite(matrix).all() and (matrix >= 0.0).all():
             return tuple(years), matrix
     except ValueError:
         pass
@@ -441,6 +441,8 @@ def _loadtxt_matrix(text):
                 raise SchemaError(line, column, f"{cell.strip()!r} is not a number")
             if not np.isfinite(value):
                 raise SchemaError(line, column, f"{cell.strip()!r} is not finite")
+            if value < 0.0:
+                raise SchemaError(line, column, f"{cell.strip()!r} is negative")
     raise AssertionError("np.loadtxt read every line alone but not all of them together")
 
 
@@ -453,7 +455,7 @@ def _read_outcome(parse, text):
     return years, matrix.shape, matrix.tobytes()
 
 
-_MATRIX_CHARS = "0123456789.,\n"
+_MATRIX_CHARS = "0123456789.,\n-"
 
 
 @st.composite
@@ -489,6 +491,8 @@ def _matrix_texts(draw):
 # a bad cell on the first line of a block after the first
 @example("2020,2021\n" + "1.5,2.5\n" * 8 + "1.5,x\n", 16)
 @example("2020,2021\n1.5,2.5\n1.5,2.5\n1.5,x.5\n", 1)
+# a negative cell on a line of a block after the first, before a bad cell
+@example("2020,2021\n" + "1.5,2.5\n" * 8 + "-0.0,2.5\n1.5,-2.5\n3,x\n", 16)
 # characters that are no line break inside a failing block, and one after
 # such a block
 @example("2020,2021\n1,2\r3,x\n", 2)
@@ -596,7 +600,7 @@ def test_matrix_reader_reads_a_block_of_other_lines_line_by_line():
     text = matrix_csv_text(range(2020, 2024), matrix)
     # a sign, an exponent and a line of whitespace in the middle of the file
     middle = text.index("\n", len(text) // 2) + 1
-    text = text[:middle] + "+7,-1e3,0.5,2.0\n \n1.5,2.5,3.5,4.5\n" + text[middle:]
+    text = text[:middle] + "+7,1e3,0.5,2.0\n \n1.5,2.5,3.5,4.5\n" + text[middle:]
     with (mock.patch.object(matrix_module, "_matrix_block_values",
                             wraps=matrix_module._matrix_block_values) as blocks,
           mock.patch.object(matrix_module, "_other_block_values",
@@ -605,7 +609,7 @@ def test_matrix_reader_reads_a_block_of_other_lines_line_by_line():
     assert blocks.call_count >= 8 and other.call_count == 1
     assert parsed.tobytes() == _loadtxt_matrix(text)[1].tobytes()
     row = text[:middle].count("\n") - 1
-    assert np.array_equal(parsed[row:row + 2], [[7.0, -1e3, 0.5, 2.0], [1.5, 2.5, 3.5, 4.5]])
+    assert np.array_equal(parsed[row:row + 2], [[7.0, 1e3, 0.5, 2.0], [1.5, 2.5, 3.5, 4.5]])
 
 
 def _large_matrix_text():
