@@ -272,9 +272,11 @@ class EnsembleResult:
     def __post_init__(self):
         if self.matrix.shape != (self.config.realizations, len(self.years)):
             raise ValueError("matrix shape does not match realizations x years")
-        # each year's min and max, which a nan reaches: no full-size temporaries
-        extremes = np.stack((self.matrix.min(axis=0), self.matrix.max(axis=0)), axis=1)
-        _check_emissions(extremes, [f"year {year}" for year in self.years])
+        # the whole matrix's min and max, which a nan reaches, are as quick in
+        # either layout; each year's, only to name the first bad year
+        if self.matrix.size and not (self.matrix.min() >= 0.0 and self.matrix.max() < np.inf):
+            extremes = np.stack((self.matrix.min(axis=0), self.matrix.max(axis=0)), axis=1)
+            _check_emissions(extremes, [f"year {year}" for year in self.years])
 
     def to_csv_text(self) -> str:
         """The matrix CSV: a header of years, then one row per realization,

@@ -184,7 +184,7 @@ def _driver_table_from_json(doc) -> DriverTable:
     for i, row in enumerate(rows, start=1):
         missing = [k for k in DRIVER_HEADER if k not in row]
         if missing:
-            raise SchemaError(i, 1, f"row missing key(s) {', '.join(missing)}")
+            raise ValueError(f"row {i} is missing key(s) {', '.join(missing)}")
         out.append(DriverRow(as_year(row["year"]), *(as_number(row[k]) for k in DRIVER_HEADER[1:])))
     if not out:
         raise SchemaError(1, 1, "no data rows")

@@ -70,7 +70,6 @@ def _parse_emission(cell: str, line: int, column: int) -> float:
 # of 2048 to 32768 on an 8000 x 16 ensemble, for writing and for reading.
 _MATRIX_BLOCK_CELLS = 8192
 _U64 = np.uint64
-_LOW32, _32 = _U64(0xFFFF_FFFF), _U64(32)
 _POW10 = np.array([10**i for i in range(20)], dtype=_U64)
 _POW10_FLOAT = _POW10.astype(np.float64)  # exact: 5**19 < 2**53
 _POW5 = np.array([5**i for i in range(20)], dtype=_U64)
@@ -94,6 +93,27 @@ def _decade_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _DECADE, _NEXT_POWER = _decade_tables()
+
+
+def _offset(x: np.ndarray, n: np.ndarray,
+            places: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, five, s, m)``: where the integers n sit relative to the doubles x
+    scaled by ``10**places``, exactly, in uint64 arithmetic.
+
+    With x = m * 2**e for an integer m in [2**52, 2**53) and f places, x
+    scaled by 10**f is S = m * 5**f * 2**(e + f), and half an ulp of x
+    scaled the same way is H = 5**f * 2**(e + f - 1). With s = 1 - e - f,
+    the int64 ``d = n * 2**s - 2 * m * 5**f`` is 2**s * (n - S), and
+    ``five = 5**f`` (< 2**45) is 2**s * H. The arithmetic wraps, so d is
+    exact wherever s is in [0, 64) and |d| < 2**63; an s below 0 wraps to
+    2**64 - |s|. n lies strictly inside the rounding interval (S - H, S + H)
+    of x where |d| < five.
+    """
+    bits = x.view(_U64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    s = _U64(1076) - (bits >> _U64(52)) - places.astype(_U64)  # e = exponent bits - 1075
+    five = _POW5[places]
+    return ((n << s) - _U64(2) * m * five).view(np.int64), five, s, m
 
 
 def matrix_csv_text(years: Iterable[int], matrix: np.ndarray) -> str:
@@ -189,45 +209,26 @@ def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is not symmetric), and every cell where :func:`_closest_shortest` cannot
     certify repr's choice.
 
-    In [1e-3, 1e15), ``S = x * 10**(16 - decade)`` lies in [1e16, 1e17), and
-    :func:`_exact_product` gives it exactly. Half an ulp of x, scaled the
-    same way, is an exact double H: a power of two times 10**(16 - decade).
+    In [1e-3, 1e15), with f = 16 - decade, ``S = x * 10**f`` lies in [1e16,
+    1e17), and the float product is an integer n within 8 of it.
+    :func:`_offset` gives d = 2**s * (n - S) and 5**f = 2**s * H, with
+    2 <= s <= 44, so S = n - d / 2**s and half an ulp H = 5**f / 2**s hold
+    exactly in 64.64 fixed point.
     """
     fast = (x >= 1e-3) & (x < 1e15) & ((x.view(_U64) & _U64(2**52 - 1)) != 0)
     xs = np.where(fast, x, 1.5)  # keeps the arithmetic below in range for every cell
-    bits = xs.view(_U64)
-    biased = (bits >> _U64(52)).view(np.int64)
+    biased = (xs.view(_U64) >> _U64(52)).view(np.int64)
     decade = _DECADE[biased] + (xs >= _NEXT_POWER[biased])
-    scale = _POW10[16 - decade]
-    a, r = _exact_product(xs, scale)
-    # 2**(E - 53) from the exponent bits
-    h = ((bits & _U64(0x7FF << 52)) - _U64(53 << 52)).view(np.float64) * scale.astype(np.float64)
-    h_whole = np.floor(h)
-    h_frac = ((h - h_whole) * 2.0**64).astype(_U64)
-    digits, certified = _closest_shortest(a, r, h_whole.astype(_U64), h_frac)
+    places = 16 - decade
+    near = (xs * _POW10_FLOAT[places]).astype(_U64)
+    d, five, s, _ = _offset(xs, near, places)
+    low, up = (_U64(1) << s) - _U64(1), _U64(64) - s  # the fraction's bits, and their shift
+    a = near + ((-d) >> s.view(np.int64)).view(_U64)
+    r = ((-d).view(_U64) & low) << up
+    digits, certified = _closest_shortest(a, r, five >> s, (five & low) << up)
     zero = x.view(_U64) == 0
     digits[zero] = 0
     return digits, decade, ~(fast & certified | zero)
-
-
-def _exact_product(x: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a, r)``, uint64 arrays with ``x * scale == a + r / 2**64`` exactly,
-    for doubles x in [2**-10, 2**50) and powers of ten ``scale`` with
-    ``x * scale < 2**64``. Such an x holds exactly in 64.64 fixed point,
-    because its lowest set bit is 2**-62 or above; the product is built from
-    32-bit limbs, so that no partial product overflows 64 bits."""
-    whole = np.floor(x)
-    frac = (x - whole) * 2.0**32
-    frac_hi = np.floor(frac)
-    frac_lo = ((frac - frac_hi) * 2.0**32).astype(_U64)
-    frac_hi = frac_hi.astype(_U64)
-    scale_hi, scale_lo = scale >> _32, scale & _LOW32
-    p00, p01, p10 = frac_lo * scale_lo, frac_lo * scale_hi, frac_hi * scale_lo
-    mid = (p00 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
-    r = (mid << _32) | (p00 & _LOW32)
-    a = (whole.astype(_U64) * scale + frac_hi * scale_hi + (p01 >> _32) + (p10 >> _32)
-         + (mid >> _32))
-    return a, r
 
 
 def _closest_shortest(a: np.ndarray, r: np.ndarray, h_whole: np.ndarray,
@@ -359,24 +360,11 @@ def _certified(x: np.ndarray, n: np.ndarray, places: np.ndarray) -> tuple[np.nda
     """``(certified, below)`` for doubles x within a few ulps of the
     decimals ``n / 10**places``, n < 2**64: ``certified`` where x is the
     decimal correctly rounded, ``below`` where n lies below the upper end of
-    the rounding interval of x.
-
-    With x = m * 2**e for an integer m in [2**52, 2**53) and f places, the
-    interval scaled by 10**f is S +- H, with S = m * 5**f * 2**(e + f) and H
-    = 5**f * 2**(e + f - 1), half an ulp. Where s = 1 - e - f is in [0, 64),
-    n lies strictly inside it when d = n * 2**s - 2 * m * 5**f has |d| <
-    5**f. |d| is 5**f < 2**45 times the distance from n to S in half ulps,
-    far below 2**63 for an x a few ulps off, so uint64 arithmetic, which
-    wraps, gives d exactly. A decimal on an end is a tie, which rounds by
-    the parity of x, and a power of two has an interval that is not
-    symmetric: neither is certified.
+    the rounding interval of x, both by :func:`_offset`. For an x a few ulps
+    off, |d| is a few times 5**f < 2**45, far below 2**63. A decimal on an
+    end is a tie, which rounds by the parity of x, and a power of two has an
+    interval that is not symmetric: neither is certified.
     """
-    bits = x.view(_U64)
-    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
-    # e = (exponent bits) - 1075; an s below 0 wraps to 2**64 - |s|
-    s = _U64(1076) - (bits >> _U64(52)) - places.astype(_U64)
-    five = _POW5[places]
-    d = ((n << s) - _U64(2) * m * five).view(np.int64)
+    d, five, s, m = _offset(x, n, places)
     below = d < five.view(np.int64)
     return (m != _U64(2**52)) & (s < _U64(64)) & (d > -five.view(np.int64)) & below, below
-

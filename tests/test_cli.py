@@ -176,6 +176,24 @@ def test_emissions_from_driver_table_json_matches_csv(tmp_path, model):
             "df9a5127881353bfb2fe155feed4669ff6e9e33b55387265059d6f7dfded91c1")
 
 
+def test_driver_table_json_names_the_row_that_misses_a_key(tmp_path, capsys):
+    header, rows = _read_rows(TABLE)
+    doc = [{k: (int if k == "year" else float)(v) for k, v in zip(header, row)}
+           for row in rows[:3]]
+    del doc[1]["co2_mt"]
+    # the second row on file line 3, and all rows on one line: the error
+    # names the row, not a line
+    texts = {"rows.json": '{"rows": [\n' + ",\n".join(map(json.dumps, doc)) + "\n]}\n",
+             "array.json": json.dumps(doc)}
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["emissions", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad content in {path}: ValueError: row 2 is missing key(s) co2_mt" in err
+        assert "line 2" not in err
+
+
 def test_emissions_empty_bundle(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"trajectories": []}')

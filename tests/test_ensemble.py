@@ -852,6 +852,26 @@ def test_ensemble_result_validates_matrix(table):
             EnsembleResult(np.ones(shape), table.years, cfg, 0, 0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_ensemble_result_names_the_first_bad_year_in_either_layout(table, order):
+    cfg = _config(realizations=3)
+    bad = np.ones((3, 16), order=order)
+    bad[2, 9], bad[1, 5] = -2.0, -1.0
+    with pytest.raises(ValueError, match=f"negative emission values in year {table.years[5]}$"):
+        EnsembleResult(bad, table.years, cfg, 0, 0)
+    # non-finite first, though a later year than the first negative one
+    for value in (math.nan, -math.inf, math.inf):
+        bad[0, 12], bad[2, 14] = value, math.inf
+        with pytest.raises(ValueError,
+                           match=f"non-finite emission values in year {table.years[12]}$"):
+            EnsembleResult(bad, table.years, cfg, 0, 0)
+    good = np.ones((3, 16), order=order)
+    assert EnsembleResult(good, table.years, cfg, 0, 0).clamped_draws == 0
+    good[1, 7] = math.inf  # the one bad value, the whole matrix's max
+    with pytest.raises(ValueError, match=f"non-finite emission values in year {table.years[7]}$"):
+        EnsembleResult(good, table.years, cfg, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Percentile
 # ---------------------------------------------------------------------------

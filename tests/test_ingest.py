@@ -46,6 +46,7 @@ from emisim import matrix as matrix_module
 from emisim.matrix import (
     _certified,
     _closest_shortest,
+    _offset,
     _repr_digits,
     matrix_csv_text,
     parse_matrix_csv_text,
@@ -370,6 +371,33 @@ def test_matrix_csv_text_matches_repr_on_a_seeded_sweep():
         assert matrix_csv_text(range(16), matrix) == _repr_matrix_text(range(16), matrix)
 
 
+def test_writer_offsets_fit_64_bits_at_the_ends_of_every_binade():
+    # The writer's cells in [1e-3, 1e15) lie in the binades [2**E, 2**(E + 1)),
+    # -10 <= E < 50, each cut into at most two decades by the next power of
+    # ten. At both ends of each part: 1 <= s <= 59 (here 2 to 44), so that
+    # 64 - s is a shift, and |d| <= 8 * 2**s < 2**63, so that the wrapping d
+    # is exact; and the digits are repr's.
+    ends = []
+    for e2 in range(-10, 50):
+        cut = matrix_module._NEXT_POWER[1023 + e2]
+        bounds = [2.0**e2, 2.0**(e2 + 1)]
+        if bounds[0] < cut < bounds[1]:
+            bounds.insert(1, cut)
+        for low, high in zip(bounds, bounds[1:]):
+            ends += [low if low == cut else np.nextafter(low, np.inf), np.nextafter(high, 0.0)]
+    x = np.array([v for v in ends if 1e-3 <= v < 1e15])
+    digits, decade, fallback = _repr_digits(x)
+    assert len(set(decade.tolist())) == 18 and not fallback.any()
+    places = 16 - decade
+    near = (x * matrix_module._POW10_FLOAT[places]).astype(np.uint64)
+    d, _, s, _ = _offset(x, near, places)
+    s = s.astype(np.int64)
+    assert (s.min(), s.max()) == (2, 44)
+    assert (np.abs(d) <= np.int64(8) << s).all()
+    for value, n, exponent in zip(x.tolist(), digits.tolist(), decade.tolist()):
+        assert Decimal(n).scaleb(exponent - 16) == Decimal(repr(value))
+
+
 def test_matrix_writer_falls_back_to_repr_where_it_cannot_certify():
     cells = {
         "tie": 1 + 2**-17,  # S = x * 1e16 lies halfway between two integers
@@ -461,8 +489,9 @@ _MATRIX_CHARS = "0123456789.,\n-"
 @st.composite
 def _matrix_texts(draw):
     """Texts over the characters of the writer's form: writer output of a
-    matrix, the same with a few characters changed, or any such text."""
-    kind = draw(st.sampled_from(["writer", "changed", "any"]))
+    matrix, the same with a few characters changed or with a "-" before some
+    whole cells, or any such text."""
+    kind = draw(st.sampled_from(["writer", "changed", "signed", "any"]))
     if kind == "any":
         header = draw(st.sampled_from(["", "2020\n", "2020,2021\n", "2020,2021,2022\n"]))
         return header + draw(st.text(_MATRIX_CHARS, max_size=200))
@@ -473,6 +502,11 @@ def _matrix_texts(draw):
     if kind == "changed":
         at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 3))
         text = text[:at] + draw(st.text(_MATRIX_CHARS, max_size=3)) + text[at + cut:]
+    if kind == "signed":  # "-0.0" too, where a zero cell is signed
+        header, *rows = text.splitlines()
+        signs = iter(draw(st.lists(st.booleans(), min_size=matrix.size, max_size=matrix.size)))
+        rows = (",".join("-" * next(signs) + cell for cell in row.split(",")) for row in rows)
+        text = "".join(line + "\n" for line in (header, *rows))
     return text
 
 
