@@ -3,11 +3,13 @@
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 I/O failure,
 4 numeric failure. :func:`main` returns every exit code, raising none
 (``--help`` and ``--version`` return 0), and alone turns a failure into an
-exit code and one stderr line: a usage error ends with 1 after argparse's
-usage line, an ``EmisimError`` with its own ``exit_code``, a
-``ValueError`` or ``MemoryError`` with 2, an ``ArithmeticError`` with 4, an
-``OSError`` with 3. Every write is atomic (temp file + rename), and ``simulate``
-renames its files only once all are written: a failure leaves no partial outputs.
+exit code and one stderr line. A usage error ends with 1 after argparse's
+usage line; any other failure ends by its type, which is its kind: a
+rejected value or input (a ``ValueError``, or an ``EmisimError`` that
+carries its line or its violations) or a ``MemoryError`` with 2, an
+``ArithmeticError`` with 4, an ``OSError`` with 3. Every write is atomic
+(temp file + rename), and ``simulate`` renames its files only once all are
+written: a failure leaves no partial outputs.
 
 The ``simulate --config`` JSON file has exactly the schema of the ``config``
 block of a run manifest, so ``simulate --input T --config <that block>``
@@ -196,7 +198,7 @@ def _refuse_overwrites(outputs: dict, inputs: dict) -> None:
         if path:
             other = flags.setdefault(os.path.realpath(path), flag)
             if other != flag:
-                raise EmisimError(f"{flag} and {other} name the same file: {path}")
+                raise ValueError(f"{flag} and {other} name the same file: {path}")
 
 
 def _emit(args, text: str, json_doc=None, also: dict | None = None) -> None:
@@ -318,14 +320,14 @@ def cmd_project(args) -> int:
     has_cagr = args.rate is not None or args.years is not None
     has_doubling = args.doubling_months is not None or args.horizon is not None
     if has_cagr == has_doubling:
-        raise EmisimError("choose one mode: --rate/--years or --doubling-months/--horizon")
+        raise ValueError("choose one mode: --rate/--years or --doubling-months/--horizon")
     if has_cagr:
         if args.rate is None or args.years is None:
-            raise EmisimError("CAGR mode needs both --rate and --years")
+            raise ValueError("CAGR mode needs both --rate and --years")
         print(repr(cagr_value(args.base, args.rate, args.years)))
     else:
         if args.doubling_months is None or args.horizon is None:
-            raise EmisimError("doubling mode needs both --doubling-months and --horizon")
+            raise ValueError("doubling mode needs both --doubling-months and --horizon")
         print(repr(doubling_project(args.base, args.doubling_months, args.horizon)))
     return EXIT_OK
 
@@ -433,8 +435,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (EmisimError, ValueError, MemoryError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, EmisimError):
-            return exc.exit_code
         return EXIT_NUMERIC if isinstance(exc, ArithmeticError) else EXIT_VALIDATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import (
-    DisjointYearRangesError,
-    EmptyInputError,
-    FractionOutOfRangeError,
-    GapInYearsError,
-    NonPositiveValueError,
-    UnitMismatchError,
-)
+from .errors import DriverTableError
 
 
 class Unit(str, Enum):
@@ -303,17 +296,17 @@ class SimulationConfig:
 def mean_scenario(trajectories: Sequence[ScenarioTrajectory]) -> AnnualSeries:
     """Pointwise arithmetic mean of the trajectories over the years they share."""
     if not trajectories:
-        raise EmptyInputError("no trajectories to average")
+        raise ValueError("no trajectories to average")
     series = [t.series for t in trajectories]
     unit = series[0].unit
     for s in series[1:]:
         if s.unit is not unit:
-            raise UnitMismatchError(f"cannot average {unit.value} with {s.unit.value}")
+            raise ValueError(f"cannot average {unit.value} with {s.unit.value}")
     common = set(series[0].years)
     for s in series[1:]:
         common &= set(s.years)
     if not common:
-        raise DisjointYearRangesError("input series share no common year")
+        raise ValueError("input series share no common year")
     n = len(series)
     points = []
     for year in sorted(common):
@@ -333,36 +326,23 @@ def mean_scenario(trajectories: Sequence[ScenarioTrajectory]) -> AnnualSeries:
 def validate_driver_table(table: DriverTable) -> DriverTable:
     """Return ``table`` iff every invariant holds.
 
-    Collects all violations before raising, so one error report covers every
-    bad row. The raised class matches the first violation encountered in row
-    order.
+    Collects all violations, in row order, before raising one
+    :class:`DriverTableError`, so one error report covers every bad row.
     """
-    violations: list[tuple[type, str]] = []
+    violations: list[str] = []
     prev_year = None
     for row in table.rows:
         if prev_year is not None and row.year != prev_year + 1:
-            violations.append(
-                (GapInYearsError, f"year {row.year}: expected {prev_year + 1} after {prev_year}")
-            )
+            violations.append(f"year {row.year}: expected {prev_year + 1} after {prev_year}")
         prev_year = row.year
         for name in ("semis_twh", "dc_twh", "co2_mt"):
             value = getattr(row, name)
             if not math.isfinite(value) or value <= 0.0:
-                violations.append(
-                    (NonPositiveValueError, f"year {row.year}: {name} = {value} must be > 0")
-                )
+                violations.append(f"year {row.year}: {name} = {value} must be > 0")
         if not math.isfinite(row.mix_factor) or not 0.0 < row.mix_factor <= 1.0:
-            violations.append(
-                (FractionOutOfRangeError, f"year {row.year}: mix_factor = {row.mix_factor} outside (0, 1]")
-            )
+            violations.append(f"year {row.year}: mix_factor = {row.mix_factor} outside (0, 1]")
         if not math.isfinite(row.ai_share) or not 0.0 <= row.ai_share <= 1.0:
-            violations.append(
-                (FractionOutOfRangeError, f"year {row.year}: ai_share = {row.ai_share} outside [0, 1]")
-            )
+            violations.append(f"year {row.year}: ai_share = {row.ai_share} outside [0, 1]")
     if violations:
-        error_cls = violations[0][0]
-        raise error_cls(
-            f"driver table has {len(violations)} violation(s)",
-            [msg for _, msg in violations],
-        )
+        raise DriverTableError(f"driver table has {len(violations)} violation(s)", violations)
     return table

@@ -43,13 +43,6 @@ from .core import (
     SimulationConfig,
     validate_percentiles,
 )
-from .errors import (
-    EmptyEnsembleError,
-    EmptyInputError,
-    HalfwidthTooWideError,
-    InvalidLevelError,
-    MissingHalfwidthError,
-)
 from .ingest import csv_text
 from .matrix import matrix_csv_text
 from .model import READ_VARIABLES, EmissionModel, fit_model
@@ -177,11 +170,11 @@ def two_sided_z(level: float) -> float:
     """z such that P(|Z| <= z) = level for standard normal Z, from Wichura's
     AS241 (1988) as implemented by :meth:`statistics.NormalDist.inv_cdf`."""
     if not 0.0 < level < 1.0:
-        raise InvalidLevelError(f"confidence level {level} outside (0, 1)")
+        raise ValueError(f"confidence level {level} outside (0, 1)")
     # at or below 2**-53, (1 + level) / 2 rounds to 0.5, whose z of 0 no halfwidth divides by
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     if z == 0.0:
-        raise InvalidLevelError(f"confidence level {level} too small: its z rounds to 0")
+        raise ValueError(f"confidence level {level} too small: its z rounds to 0")
     return z
 
 
@@ -236,13 +229,13 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> Perturb
     sigmas = []
     for name, mean in zip(DRIVER_VARIABLES, means):
         if name not in config.halfwidths:
-            raise MissingHalfwidthError(f"no halfwidth configured for {name}")
+            raise ValueError(f"no halfwidth configured for {name}")
         spec = config.halfwidths[name]
         if isinstance(spec, AnnualSeries):
             try:
                 halfwidths = [spec.value_at(y) for y in table.years]
             except KeyError as exc:
-                raise MissingHalfwidthError(f"halfwidth series for {name} missing {exc}") from None
+                raise ValueError(f"halfwidth series for {name} missing {exc}") from None
         else:
             # Python floats: an overflow gives inf without a numpy warning
             halfwidths = [spec * m for m in mean]
@@ -250,7 +243,7 @@ def build_perturbations(table: DriverTable, config: SimulationConfig) -> Perturb
         widest = max(sigmas[-1])
         limit = 1.0 if name in FRACTION_VARIABLES else np.finfo(float).max
         if widest > limit:
-            raise HalfwidthTooWideError(f"{name} halfwidth gives sigma {widest:.6g} > {limit:g}")
+            raise ValueError(f"{name} halfwidth gives sigma {widest:.6g} > {limit:g}")
     upper = [1.0 if name in FRACTION_VARIABLES else math.inf for name in DRIVER_VARIABLES]
     return Perturbation(table.years, means, sigmas, [0.0] * len(DRIVER_VARIABLES), upper)
 
@@ -411,7 +404,7 @@ def _order_statistics(sorted_rows: np.ndarray, percentiles) -> np.ndarray:
 def percentile(values: Sequence[float], p: float) -> float:
     """Linear-interpolation percentile of ``values``, finite and >= 0, for p in (0, 100)."""
     if len(values) == 0:
-        raise EmptyInputError("percentile of empty list")
+        raise ValueError("percentile of empty list")
     ranked = np.sort(np.asarray(values, dtype=float))[None, :]
     _check_emissions(ranked, ("the list",))
     return float(_order_statistics(ranked, validate_percentiles((p,)))[0, 0])
@@ -458,7 +451,7 @@ def bands_from_matrix(matrix: np.ndarray, years, percentiles) -> PercentileBands
     (which names the value's year); a mean that overflows OverflowError."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
-        raise EmptyEnsembleError("cannot take percentiles of an empty ensemble")
+        raise ValueError("cannot take percentiles of an empty ensemble")
     percentiles = validate_percentiles(percentiles)
     years = tuple(years)
     if len(years) != matrix.shape[1]:

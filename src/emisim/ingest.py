@@ -45,7 +45,7 @@ from .core import (
     as_number,
     as_year,
 )
-from .errors import NegativeInputError, SchemaError, UnknownTaskError
+from .errors import SchemaError
 
 DRIVER_HEADER = ("year", *DRIVER_VARIABLES, "co2_mt")
 SERIES_HEADER = ("year", "value")
@@ -167,15 +167,16 @@ def read_text(path: str | Path) -> str:
 
 def read_json(path: str | Path, convert):
     """``convert`` applied to the JSON document in ``path``. JSON that is
-    malformed or nested too deeply, and content that ``convert`` rejects,
-    end as a one-line SchemaError; a file that cannot be read raises OSError."""
+    malformed or nested too deeply ends as a one-line SchemaError at its
+    line and column, and content that ``convert`` rejects as a one-line
+    ValueError; a file that cannot be read raises OSError."""
     text = read_text(path)
     try:
         return convert(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SchemaError(exc.lineno, exc.colno, f"malformed JSON in {path}: {exc.msg}") from None
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise SchemaError(1, 1, f"bad content in {path}: {type(exc).__name__}: {exc}") from None
+        raise ValueError(f"bad content in {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _driver_table_from_json(doc) -> DriverTable:
@@ -187,7 +188,7 @@ def _driver_table_from_json(doc) -> DriverTable:
             raise ValueError(f"row {i} is missing key(s) {', '.join(missing)}")
         out.append(DriverRow(as_year(row["year"]), *(as_number(row[k]) for k in DRIVER_HEADER[1:])))
     if not out:
-        raise SchemaError(1, 1, "no data rows")
+        raise ValueError("no data rows")
     return DriverTable.from_rows(out)
 
 
@@ -281,16 +282,19 @@ def _coerce_task(task) -> InferenceTask:
     try:
         return InferenceTask(key)
     except ValueError:
-        raise UnknownTaskError(f"unknown task {task!r}") from None
+        raise ValueError(f"unknown task {task!r}") from None
 
 
 def inference_energy(task, count: int, table: "InferenceEnergyTable | None" = None) -> float:
     """Wh consumed by ``count`` units of a task, per the bundled table."""
     if count < 0:
-        raise NegativeInputError("count must be >= 0")
+        raise ValueError("count must be >= 0")
     if table is None:
         table = bundled_inference_table()
-    wh = table.energy(_coerce_task(task)) * count
+    try:  # float arithmetic converts an int; one beyond the float range is inf
+        wh = table.energy(_coerce_task(task)) * count
+    except OverflowError:
+        wh = math.inf
     if math.isinf(wh):
         raise OverflowError("inference energy overflows")
     return wh
@@ -303,7 +307,7 @@ def parse_inference_table_text(text: str) -> InferenceEnergyTable:
     for line, (name, wh) in _data_rows(text, ("task", "energy_wh")):
         try:
             task = _coerce_task(name)
-        except UnknownTaskError as exc:
+        except ValueError as exc:
             raise SchemaError(line, 1, str(exc)) from None
         if task in energies:
             raise SchemaError(line, 1, f"task {task.value!r} repeats an earlier row")
@@ -381,7 +385,7 @@ def doubling_project(base: float, doubling_months: float, horizon_months: float)
 def equivalent_homes(co2_mt: float) -> float:
     """American homes whose one-year energy-use emissions match ``co2_mt``."""
     if co2_mt < 0.0:
-        raise NegativeInputError("emissions must be >= 0")
+        raise ValueError("emissions must be >= 0")
     if not math.isfinite(co2_mt):
         raise ValueError(f"emissions must be finite, got {co2_mt}")
     homes = co2_mt * HOMES_PER_MT_CO2 + 0.0  # -0.0 + 0.0 is +0.0

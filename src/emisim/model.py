@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DRIVER_VARIABLES, AnnualSeries, DriverTable, ModelKind, Unit
-from .errors import DegenerateRowError, RankDeficientDesignError, YearOutsideFitError
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class ImpliedIntensityModel:
         try:
             return self.kappa.value_at(year)
         except KeyError:
-            raise YearOutsideFitError(
+            raise ValueError(
                 f"year {year} outside fitted range {self.years[0]}-{self.years[-1]}"
             ) from None
 
@@ -145,7 +144,7 @@ def predict_table(model: EmissionModel, table: DriverTable) -> np.ndarray:
 def fit_implied_intensity(table: DriverTable) -> ImpliedIntensityModel:
     """Solve kappa(year) so the model reproduces every co2_mt exactly.
 
-    Raises :class:`DegenerateRowError` listing every year whose
+    Raises a ZeroDivisionError that lists every year whose
     ``dc_twh * ai_share * mix_factor`` denominator is zero.
     """
     degenerate = []
@@ -157,7 +156,7 @@ def fit_implied_intensity(table: DriverTable) -> ImpliedIntensityModel:
             continue
         points.append((row.year, row.co2_mt / denom))
     if degenerate:
-        raise DegenerateRowError(
+        raise ZeroDivisionError(
             f"zero driver product in year(s) {', '.join(map(str, degenerate))}"
         )
     return ImpliedIntensityModel(AnnualSeries(Unit.MT_PER_TWH, tuple(points)))
@@ -174,7 +173,7 @@ def fit_linear_regression(table: DriverTable) -> LinearRegressionModel:
     # scales (1 vs ~1000 TWh) cannot mask exact collinearity.
     norms = np.linalg.norm(design, axis=0)
     if np.any(norms == 0.0) or np.linalg.matrix_rank(design / norms) < design.shape[1]:
-        raise RankDeficientDesignError("driver columns are collinear")
+        raise ArithmeticError("driver columns are collinear")
     beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     residuals = target - design @ beta
     return LinearRegressionModel(

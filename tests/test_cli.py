@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -41,10 +42,26 @@ def _run_emisim(*argv, cwd=None, **env):
     return _run_python("-m", "emisim", *argv, cwd=cwd, **env)
 
 
+# How stderr starts for each failing exit code: the type of a failure is its
+# kind, and the kind decides the code.
+_FIRST_LINE = {
+    1: r"usage: ",
+    2: r"error: (ValueError|SchemaError|DriverTableError|MemoryError): ",
+    3: r"I/O error: ",
+    4: r"error: (OverflowError|ZeroDivisionError|ArithmeticError): ",
+}
+
+
+def _assert_first_line(code, stderr):
+    assert re.match(_FIRST_LINE[code], stderr), stderr
+
+
 def _assert_clean_failure(proc, code):
-    """Exit ``code`` without a traceback, and one stderr line for exit 2."""
+    """Exit ``code`` without a traceback, with the first stderr line of that
+    code, and one stderr line for exit 2."""
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    _assert_first_line(code, proc.stderr)
     if code == 2:
         assert len(proc.stderr.strip().splitlines()) == 1
 
@@ -72,7 +89,7 @@ def test_validate_bad_table(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt\n2020,91,269,1.3,0.02,1.03\n")
     assert main(["validate", "--input", str(bad)]) == 2
-    assert "FractionOutOfRange" in capsys.readouterr().err
+    assert "DriverTableError" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_io_error(tmp_path):
@@ -87,7 +104,7 @@ def test_degenerate_fit_is_numeric_error(tmp_path, capsys):
         "2020,91,269,0.62,0,1.03\n"
     )
     assert main(["fit", "--input", str(degenerate)]) == 4
-    assert "DegenerateRow" in capsys.readouterr().err
+    assert "ZeroDivisionError" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1():
@@ -182,23 +199,24 @@ def test_driver_table_json_names_the_row_that_misses_a_key(tmp_path, capsys):
            for row in rows[:3]]
     del doc[1]["co2_mt"]
     # the second row on file line 3, and all rows on one line: the error
-    # names the row, not a line
-    texts = {"rows.json": '{"rows": [\n' + ",\n".join(map(json.dumps, doc)) + "\n]}\n",
-             "array.json": json.dumps(doc)}
-    for name, text in texts.items():
+    # names the file and the row, not a line; a document without rows has
+    # no line at fault either
+    missing = "ValueError: row 2 is missing key(s) co2_mt"
+    texts = {"rows.json": ('{"rows": [\n' + ",\n".join(map(json.dumps, doc)) + "\n]}\n", missing),
+             "array.json": (json.dumps(doc), missing),
+             "empty.json": ('{"rows": []}', "ValueError: no data rows")}
+    for name, (text, reason) in texts.items():
         path = tmp_path / name
         path.write_text(text)
         assert main(["emissions", "--input", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"bad content in {path}: ValueError: row 2 is missing key(s) co2_mt" in err
-        assert "line 2" not in err
+        assert capsys.readouterr().err == f"error: ValueError: bad content in {path}: {reason}\n"
 
 
 def test_emissions_empty_bundle(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"trajectories": []}')
     assert main(["emissions", "--input", str(empty)]) == 2
-    assert "EmptyInput" in capsys.readouterr().err
+    assert "ValueError" in capsys.readouterr().err
 
 
 def test_mean_subcommand(tmp_path):
@@ -598,6 +616,17 @@ _HUGE_HW = {"hw.json": json.dumps({"semis_twh": 0.1, "dc_twh": 1e305, "mix_facto
 _DRIVER_ROW = '"semis_twh": 1, "dc_twh": 1, "mix_factor": 0.5, "ai_share": 0.5, "co2_mt": 1'
 _TRAJECTORY = '{"name": "Surge", "family": "Shell", "unit": "MtCO2", "points": %s}'
 _DEEP_JSON = "[" * 100_000
+_MIXED_UNITS = {"b.json": '{"trajectories": [%s, %s]}' % (
+    _TRAJECTORY % "[[2020, 1.0]]",
+    '{"name": "Boom", "family": "Shell", "unit": "TWh", "points": [[2020, 1.0]]}')}
+_DISJOINT_YEARS = {"b.json": '{"trajectories": [%s, %s]}' % (
+    _TRAJECTORY % "[[2020, 1.0]]",
+    '{"name": "Boom", "family": "Shell", "unit": "MtCO2", "points": [[2021, 1.0]]}')}
+# six valid rows whose semis_twh is twice their dc_twh: no regression separates the two
+_COLLINEAR = {"t.csv": "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt\n" + "".join(
+    f"{2020 + i},{2 * dc},{dc},{mix},{ai},{co2}\n" for i, (dc, mix, ai, co2) in enumerate(
+        [(100, 0.6, 0.02, 1.0), (120, 0.62, 0.03, 1.5), (150, 0.58, 0.05, 2.1),
+         (180, 0.55, 0.08, 3.4), (220, 0.5, 0.1, 4.2), (260, 0.47, 0.13, 5.0)]))}
 _LONG_CELL = {"t.csv": "year,semis_twh,dc_twh,mix_factor,ai_share,co2_mt\n2020," + "9" * 131_073
               + ",1,1,1,1\n"}
 
@@ -623,7 +652,7 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
         _case("simulate-four-rows", "simulate --model regression --input t.csv", _FOUR_ROWS,
               named=["6 rows"]),
         _case("infinite-sigma", "simulate --input TABLE --halfwidths hw.json", _INFINITE_HW,
-              named=["HalfwidthTooWideError", "dc_twh"]),
+              named=["ValueError", "dc_twh"]),
         _case("doubling-overflow", "project --base 1 --doubling-months 1 --horizon 3000", code=4,
               named=["projection overflows"]),
         _case("cagr-overflow", "project --base 1 --rate 0.1 --years 100000", code=4,
@@ -731,6 +760,17 @@ def _case(case_id, command, files=None, env=None, code=2, named=()):
               code=4, named=["inference energy overflows"]),
         _case("cagr-years-beyond-float", f"project --base 1 --rate 0.5 --years {10**400}", code=4,
               named=["OverflowError: projection overflows after about 1e400 years"]),
+        _case("inference-energy-count-beyond-float",
+              f"inference-energy image_generation --count {10**400}", code=4,
+              named=["inference energy overflows"]),
+        _case("inference-energy-unknown-task", "inference-energy telepathy",
+              named=["ValueError: unknown task 'telepathy'"]),
+        _case("mean-mixed-units", "mean --input b.json", _MIXED_UNITS,
+              named=["ValueError: cannot average MtCO2 with TWh"]),
+        _case("mean-disjoint-years", "mean --input b.json", _DISJOINT_YEARS,
+              named=["ValueError: input series share no common year"]),
+        _case("fit-collinear", "fit --model regression --input t.csv", _COLLINEAR, code=4,
+              named=["ArithmeticError: driver columns are collinear"]),
     ],
 )
 def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, files, env, code,
@@ -741,6 +781,7 @@ def test_rejected_values_end_with_their_exit_code_and_one_line(tmp_path, argv, f
     proc = _run_emisim(*argv, cwd=tmp_path, **env)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    _assert_first_line(code, proc.stderr)
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stdout == ""
     for word in named:
@@ -927,7 +968,7 @@ def test_negative_numbers_in_exponent_form_are_values(capsys):
     assert main(["project", "--base", "1", "--doubling-months", "1", "--horizon", "-1.E+3"]) == 0
     assert capsys.readouterr().out == expected
     assert main(["equiv", "-1e3"]) == 2
-    assert capsys.readouterr().err == "error: NegativeInputError: emissions must be >= 0\n"
+    assert capsys.readouterr().err == "error: ValueError: emissions must be >= 0\n"
 
 
 # (args before the flag, flag, word, args after it, exit code of its = form)
@@ -1062,6 +1103,7 @@ def _side_calculations(draw):
 @example((["project", "--base=0.0", "--doubling-months=1e-300", "--horizon=1e300"], False))
 @example((["inference-energy", "image_generation", f"--count={10**306}"], False))
 @example((["project", "--base=1e308", "--rate=-0.5", f"--years={10**400}"], False))
+@example((["inference-energy", "image_generation", f"--count={10**400}"], False))
 def test_side_calculations_print_a_finite_number_or_exit_with_one_line(case):
     argv, rejected = case
     out, err = io.StringIO(), io.StringIO()
@@ -1073,6 +1115,9 @@ def test_side_calculations_print_a_finite_number_or_exit_with_one_line(case):
     else:
         assert code == (2 if rejected else 4) and out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
+        _assert_first_line(code, err.getvalue())
+        if code == 4:
+            assert "overflow" in err.getvalue()
 
 
 def test_project_mode_conflict(capsys):

@@ -12,13 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from emisim.core import AnnualSeries, ScenarioFamily, SimulationConfig, Unit
-from emisim.errors import (
-    EmisimError,
-    FractionOutOfRangeError,
-    NegativeInputError,
-    SchemaError,
-    UnknownTaskError,
-)
+from emisim import cli
+from emisim.errors import DriverTableError, EmisimError, SchemaError
 from emisim.ingest import (
     InferenceEnergyTable,
     InferenceTask,
@@ -102,7 +97,7 @@ def test_short_row_rejected():
 
 def test_value_range_violations_surface_from_validation():
     text = DRIVER_HEADER + "\n2020,91,269,1.3,0.02,1.03\n"
-    with pytest.raises(FractionOutOfRangeError):
+    with pytest.raises(DriverTableError, match="mix_factor = 1.3 outside"):
         parse_driver_csv_text(text)
 
 
@@ -264,10 +259,15 @@ def test_text_parsers_raise_only_emisim_or_value_errors(header, body):
     ("text-generation,1", "task 'text_generation' repeats an earlier row"),
     ("mind reading,1", "unknown task 'mind reading'"),
 ])
-def test_inference_table_names_the_task_it_refuses(row, reason):
+def test_inference_table_names_the_task_it_refuses(row, reason, capsys):
+    text = bundled_data_text("inference_energy.csv") + row + "\n"
     with pytest.raises(SchemaError) as exc:
-        parse_inference_table_text(bundled_data_text("inference_energy.csv") + row + "\n")
-    assert exc.value.reason == reason and exc.value.exit_code == 2
+        parse_inference_table_text(text)
+    assert exc.value.reason == reason
+    with mock.patch.object(cli, "bundled_inference_table",
+                           lambda: parse_inference_table_text(text)):
+        assert cli.main(["inference-energy", "text_generation"]) == 2
+    assert capsys.readouterr().err == f"error: SchemaError: {exc.value}\n"
 
 
 def test_whitespace_lines_are_blank():
@@ -961,7 +961,7 @@ def test_equivalent_homes_quoted_factor():
 
 
 def test_equivalent_homes_negative():
-    with pytest.raises(NegativeInputError):
+    with pytest.raises(ValueError, match="emissions must be >= 0"):
         equivalent_homes(-1.0)
 
 
@@ -992,10 +992,12 @@ def test_inference_energy_values():
 
 
 def test_inference_energy_errors():
-    with pytest.raises(UnknownTaskError):
+    with pytest.raises(ValueError, match="unknown task 'mind_reading'"):
         inference_energy("mind_reading", 1)
-    with pytest.raises(NegativeInputError):
+    with pytest.raises(ValueError, match="count must be >= 0"):
         inference_energy("text_generation", -1)
+    with pytest.raises(OverflowError, match="inference energy overflows"):
+        inference_energy("text_generation", 10**400)
 
 
 def test_inference_table_sanity():
